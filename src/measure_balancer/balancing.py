@@ -45,7 +45,7 @@ from .geometry import (
     herm_exp,
     traceless_hermitian_basis,
 )
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, move_rows
 from .stability import StabilityKind, Subspace, classify
 from .weights import span_basis
 
@@ -99,17 +99,15 @@ def _det_normalize(s: np.ndarray) -> np.ndarray:
     return s * np.exp(-logdet / s.shape[0])
 
 
-def _start_state(nu: AtomicMeasure, start) -> np.ndarray:
+def _start_element(nu: AtomicMeasure, start) -> np.ndarray:
+    """The start iterate as a matrix: the identity, or start checked in size."""
     k = nu.dim + 1
     if start is None:
         return np.eye(k, dtype=complex)
-    if isinstance(start, GroupElement):
-        g0 = start.g
-    else:
-        g0 = GroupElement(start).g
+    g0 = start.g if isinstance(start, GroupElement) else GroupElement(start).g
     if g0.shape[0] != k:
         raise InvalidInput("start element size does not match the measure")
-    return _det_normalize(g0.conj().T @ g0)
+    return g0
 
 
 def _tyler_state(z: np.ndarray, w: np.ndarray, s: np.ndarray):
@@ -127,7 +125,7 @@ def _tyler_state(z: np.ndarray, w: np.ndarray, s: np.ndarray):
 
 
 def _full_span_certificate(nu: AtomicMeasure) -> Subspace:
-    q = span_basis(nu.points)
+    q = span_basis(nu.coeffs)
     return Subspace(
         basis=q, atom_indices=tuple(range(nu.atom_count)), mass=1.0
     )
@@ -152,8 +150,7 @@ def _divergence_certificate(nu: AtomicMeasure, s: np.ndarray) -> Subspace:
         if not inside.any():
             continue
         members = tuple(int(i) for i in np.flatnonzero(inside))
-        pts = [nu.points[i] for i in members]
-        q_span = span_basis(pts)
+        q_span = span_basis(z[list(members)])
         if q_span.shape[1] >= k:
             continue
         mass = float(nu.weights[list(members)].sum())
@@ -179,29 +176,19 @@ def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
     z = nu.coeff_matrix()
     w = nu.weights
     sv = np.linalg.svd(z, compute_uv=False)
-    s = _start_state(nu, start)
+    g0 = _start_element(nu, start)
+    s = g0 if start is None else _det_normalize(g0.conj().T @ g0)
     q, r_mat, s_half, residual, energy = _tyler_state(z, w, s)
     trace = [(0, residual, energy)]
+    verdict, certificate, it = VERDICT_MAX_ITERATIONS, None, 0
     if z.shape[0] < k or sv[-1] <= 1e-10 * sv[0]:
         # atoms span a proper subspace: full mass on it, nothing to balance
-        return BalanceResult(
-            g=GroupElement(s_half),
-            residual=residual,
-            iterations=0,
-            trace=trace,
-            verdict=VERDICT_DIVERGED,
-            certificate=_full_span_certificate(nu),
-        )
-    if residual <= tol:
-        return BalanceResult(
-            g=GroupElement(s_half),
-            residual=residual,
-            iterations=0,
-            trace=trace,
-            verdict=VERDICT_CONVERGED,
-        )
+        verdict, certificate = VERDICT_DIVERGED, _full_span_certificate(nu)
+    elif residual <= tol:
+        verdict = VERDICT_CONVERGED
     damping = 1.0
-    for it in range(1, max_iter + 1):
+    while verdict == VERDICT_MAX_ITERATIONS and it < max_iter:
+        it += 1
         s_prop = _det_normalize(np.linalg.inv(r_mat))
         s_prop = (s_prop + s_prop.conj().T) / 2.0
         # Accept a step unless the residual grows meaningfully: divergent
@@ -223,65 +210,43 @@ def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
         q, r_mat, s_half, residual, energy = out
         trace.append((it, residual, energy))
         if not np.isfinite(residual):
-            return BalanceResult(
-                g=GroupElement(np.eye(k, dtype=complex)),
-                residual=float(residual),
-                iterations=it,
-                trace=trace,
-                verdict=VERDICT_DIVERGED,
-                certificate=_divergence_certificate(nu, s),
-            )
-        if residual <= tol:
-            return BalanceResult(
-                g=GroupElement(s_half),
-                residual=residual,
-                iterations=it,
-                trace=trace,
-                verdict=VERDICT_CONVERGED,
-            )
-        vals = np.linalg.eigvalsh(s)
-        if vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT:
-            return BalanceResult(
-                g=GroupElement(s_half),
-                residual=residual,
-                iterations=it,
-                trace=trace,
-                verdict=VERDICT_DIVERGED,
-                certificate=_divergence_certificate(nu, s),
-            )
+            s_half = np.eye(k, dtype=complex)
+            verdict, certificate = VERDICT_DIVERGED, _divergence_certificate(nu, s)
+        elif residual <= tol:
+            verdict = VERDICT_CONVERGED
+        else:
+            vals = np.linalg.eigvalsh(s)
+            if vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT:
+                verdict, certificate = VERDICT_DIVERGED, _divergence_certificate(nu, s)
     return BalanceResult(
         g=GroupElement(s_half),
-        residual=residual,
-        iterations=max_iter,
+        residual=float(residual),
+        iterations=max_iter if verdict == VERDICT_MAX_ITERATIONS else it,
         trace=trace,
-        verdict=VERDICT_MAX_ITERATIONS,
+        verdict=verdict,
+        certificate=certificate,
     )
 
 
-def _descent_state(z, w, k, g):
-    moved = (g @ z.T).T
-    norms = np.linalg.norm(moved, axis=1)
-    if np.any(norms < 1e-150):
-        raise NumericalDegeneracy("an atom representative underflowed")
-    unit = moved / norms[:, None]
+def _moved_state(z, w, g, beta=None):
+    """Unit moved rows, momentum, residual ||F(g.nu) - beta|| and energy at g."""
+    k = z.shape[1]
+    _, norms, unit = move_rows(g, z)
     mom = (unit.T * w) @ unit.conj() - np.eye(k) / k
-    residual = float(np.linalg.norm(mom))
+    residual = float(np.linalg.norm(mom if beta is None else mom - beta))
     energy = float(w @ np.log(norms))
-    return mom, residual, energy
+    return unit, mom, residual, energy
 
 
 def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
     k = nu.dim + 1
     z = nu.coeff_matrix()
     w = nu.weights
-    if start is None:
-        g = np.eye(k, dtype=complex)
-    else:
-        g = start.g if isinstance(start, GroupElement) else GroupElement(start).g
+    g = _start_element(nu, start)
     sv = np.linalg.svd(z, compute_uv=False)
     if z.shape[0] < k or sv[-1] <= 1e-10 * sv[0]:
         s_half = _herm_sqrt(_det_normalize(g.conj().T @ g))
-        mom, residual, energy = _descent_state(z, w, k, s_half)
+        _, mom, residual, energy = _moved_state(z, w, s_half)
         return BalanceResult(
             g=GroupElement(s_half),
             residual=residual,
@@ -294,7 +259,7 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
     verdict = VERDICT_MAX_ITERATIONS
     iterations = max_iter
     for it in range(max_iter + 1):
-        mom, residual, energy = _descent_state(z, w, k, g)
+        _, mom, residual, energy = _moved_state(z, w, g)
         trace.append((it, residual, energy))
         if residual <= tol:
             verdict = VERDICT_CONVERGED
@@ -319,7 +284,7 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
         accepted = False
         while step >= MIN_STEP:
             g_try = herm_exp(-step * mom) @ g
-            _, residual_try, energy_try = _descent_state(z, w, k, g_try)
+            _, _, residual_try, energy_try = _moved_state(z, w, g_try)
             needed = ARMIJO_C * step * slope
             # Near the minimum the Armijo decrease falls below the energy's
             # floating-point resolution; switch to the residual, which stays
@@ -335,7 +300,7 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
             break
         g = GroupElement(g_try).g
     s_half = _herm_sqrt(_det_normalize(g.conj().T @ g))
-    mom, residual, _ = _descent_state(z, w, k, s_half)
+    _, mom, residual, _ = _moved_state(z, w, s_half)
     return BalanceResult(
         g=GroupElement(s_half),
         residual=residual,
@@ -448,24 +413,9 @@ def solve_target(
     basis = traceless_hermitian_basis(k)
     z = nu.coeff_matrix()
     w = nu.weights
-    if start is None:
-        g = np.eye(k, dtype=complex)
-    else:
-        g = start.g if isinstance(start, GroupElement) else GroupElement(start).g
-
-    def state(gmat):
-        moved = (gmat @ z.T).T
-        norms = np.linalg.norm(moved, axis=1)
-        if np.any(norms < 1e-150):
-            raise NumericalDegeneracy("an atom representative underflowed")
-        unit = moved / norms[:, None]
-        mom = (unit.T * w) @ unit.conj() - np.eye(k) / k
-        residual = float(np.linalg.norm(mom - beta))
-        energy = float(w @ np.log(norms))
-        return unit, mom, residual, energy
-
+    g = _start_element(nu, start)
     trace = []
-    unit, mom, residual, energy = state(g)
+    unit, mom, residual, energy = _moved_state(z, w, g, beta)
     for it in range(max_iter + 1):
         trace.append((it, residual, energy))
         if residual <= tol:
@@ -494,10 +444,13 @@ def solve_target(
         step = 1.0
         accepted = False
         while step >= MIN_STEP:
-            g_try = herm_exp(step * direction) @ g
-            g_try = GroupElement(g_try).g
             try:
-                out = state(g_try)
+                g_try = GroupElement(herm_exp(step * direction) @ g).g
+            except InvalidInput:  # the trial element overflowed or is singular
+                step /= 2.0
+                continue
+            try:
+                out = _moved_state(z, w, g_try, beta)
             except NumericalDegeneracy:
                 step /= 2.0
                 continue

@@ -34,28 +34,35 @@ DEFAULT_COMPONENT_TOL = 1e-12  # spectral component norm that counts as present
 MIN_VECTOR_NORM = 1e-150  # below this a vector is treated as numerically zero
 
 
-def _canonical_vector(coeffs) -> np.ndarray:
-    """Normalize and phase-fix a representative vector; exact no-op if done."""
-    z = np.asarray(coeffs, dtype=complex).reshape(-1)
-    if z.size < 1:
+def canonical_rows(rows) -> np.ndarray:
+    """Read-only copy of an (m, n+1) array with every row made canonical.
+
+    A row is scaled to unit norm (skipped when already unit to NORM_SKIP_TOL)
+    and turned by the phase that makes its first coordinate of modulus above
+    PHASE_PIVOT_TOL real and positive; an exact no-op on its own output.
+    """
+    z = np.array(rows, dtype=complex, order="C")
+    if z.ndim != 2 or z.shape[1] < 1:
         raise InvalidInput("a projective point needs at least one coordinate")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise InvalidInput("projective point coordinates must be finite")
-    nrm = float(np.linalg.norm(z))
-    if nrm < MIN_VECTOR_NORM:
+    # One norm call per row: np.linalg.norm(z, axis=1) differs in the last bit.
+    norms = np.array([float(np.linalg.norm(row)) for row in z])[:, None]
+    if (norms < MIN_VECTOR_NORM).any():
         raise NumericalDegeneracy("cannot normalize a (numerically) zero vector")
-    if abs(nrm - 1.0) > NORM_SKIP_TOL:
-        z = z / nrm
-    pivots = np.flatnonzero(np.abs(z) > PHASE_PIVOT_TOL)
-    if pivots.size == 0:
+    np.divide(z, norms, out=z, where=np.abs(norms - 1.0) > NORM_SKIP_TOL)
+    big = np.abs(z) > PHASE_PIVOT_TOL
+    pivot = (np.arange(z.shape[0]), big.argmax(axis=1))
+    if not big[pivot].all():
         raise NumericalDegeneracy("no coordinate exceeds the phase pivot tolerance")
-    piv = z[pivots[0]]
-    if not (piv.imag == 0.0 and piv.real > 0.0):
-        z = z * (piv.conjugate() / abs(piv))
-        # Pin the pivot exactly real so canonicalization is a bit-exact no-op
-        # on its own output (a rounding residue here would break byte-for-byte
-        # round trips of serialized points).
-        z[pivots[0]] = abs(piv)
+    piv = z[pivot]
+    modulus = np.hypot(piv.real, piv.imag)  # np.abs of an array differs in the last bit
+    turn = piv != modulus  # the pivot is not yet real and positive
+    np.multiply(z, (piv.conj() / modulus)[:, None], out=z, where=turn[:, None])
+    # Pin the pivot exactly real so canonicalization is a bit-exact no-op on
+    # its own output (a rounding residue here would break byte-for-byte
+    # round trips of serialized points).
+    z[pivot] = np.where(turn, modulus, piv)
     z.flags.writeable = False
     return z
 
@@ -67,7 +74,7 @@ class ProjectivePoint:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = _canonical_vector(self.coeffs)
+        self.coeffs = canonical_rows(np.reshape(self.coeffs, (1, -1)))[0]
 
     @property
     def dim(self) -> int:

@@ -1,10 +1,10 @@
 """Atomic probability measures on CP^n and their Kempf-Ness energy.
 
-A measure is a finite list of (point, weight) atoms with positive weights
+A measure is an (m, n+1) array of atom representatives with positive weights
 summing to 1.  Construction canonicalizes: weights are renormalized (small
-drift only; a deviation beyond 1e-6 is an error), coincident atoms are
-merged into the earliest occurrence, and points carry the canonical phase
-from :mod:`measure_balancer.geometry`.
+drift only; a deviation beyond 1e-6 is an error), rows get the unit norm and
+canonical phase of :func:`measure_balancer.geometry.canonical_rows`, and
+coincident atoms are merged into the earliest kept occurrence.
 
 The Kempf-Ness energy of a measure under g in SL(n+1, C) is
 
@@ -18,44 +18,60 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalDegeneracy
 from .geometry import (
+    MIN_VECTOR_NORM,
     GroupElement,
     MomentumMatrix,
     ProjectivePoint,
     SpectralDirection,
+    canonical_rows,
 )
 from .util import canonical_json, complex_to_pair, pair_to_complex
 
 WEIGHT_SUM_TOL = 1e-6  # weights may drift this far from 1 before renormalizing
-DEFAULT_MERGE_TOL = 1e-12  # atoms closer than this (phase-invariant) are merged
+MERGE_TOL = 1e-12  # atoms with overlap |<z_i, z_j>| >= 1 - MERGE_TOL are merged
+# Unit rows with overlap >= 1 - MERGE_TOL lie within sqrt(2 MERGE_TOL) of each
+# other up to phase; the extra 1e-12 covers canonical rows up to 1e-14 off
+# unit norm and the rounding of keys and overlaps.
+MERGE_WINDOW = np.sqrt(2.0 * MERGE_TOL + 1e-12)
 
 
 @dataclass(eq=False)
 class AtomicMeasure:
-    """A finitely supported probability measure on CP^n."""
+    """A finitely supported probability measure on CP^n.
 
-    points: list
+    ``coeffs`` is the read-only (m, n+1) array of unit, phase-canonical atom
+    representatives and ``weights`` the read-only array of their masses.
+    ``atoms`` may be such an array, or a list of points or coordinate vectors.
+    """
+
+    coeffs: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, points, weights, merge_tol: float = DEFAULT_MERGE_TOL):
-        points = [
-            p if isinstance(p, ProjectivePoint) else ProjectivePoint(p)
-            for p in points
-        ]
+    def __init__(self, atoms, weights):
+        if isinstance(atoms, np.ndarray) and atoms.ndim == 2:
+            rows = canonical_rows(atoms)
+        else:
+            rows = [
+                (a if isinstance(a, ProjectivePoint) else ProjectivePoint(a)).coeffs
+                for a in atoms
+            ]
         weights = np.asarray(weights, dtype=float).reshape(-1)
-        if len(points) == 0:
+        if len(rows) == 0:
             raise InvalidInput("a measure needs at least one atom")
-        if weights.size != len(points):
+        if weights.size != len(rows):
             raise InvalidInput("points and weights must have equal length")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             raise InvalidInput("atom weights must be finite and positive")
-        sizes = {p.coeffs.size for p in points}
-        if len(sizes) != 1:
-            raise InvalidInput("all atoms must live in the same CP^n")
+        if isinstance(rows, list):
+            if len({row.size for row in rows}) != 1:
+                raise InvalidInput("all atoms must live in the same CP^n")
+            rows = np.array(rows)
         total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInput(
@@ -63,19 +79,25 @@ class AtomicMeasure:
             )
         if total != 1.0 and abs(total - 1.0) > 1e-12:
             weights = weights / total
-        points, weights = _merge_atoms(points, weights, merge_tol)
+        rows, weights = _merge_atoms(rows, weights)
+        rows.flags.writeable = False
         weights.flags.writeable = False
-        self.points = points
+        self.coeffs = rows
         self.weights = weights
 
     @property
     def dim(self) -> int:
         """Ambient projective dimension n."""
-        return self.points[0].dim
+        return self.coeffs.shape[1] - 1
 
     @property
     def atom_count(self) -> int:
-        return len(self.points)
+        return self.coeffs.shape[0]
+
+    @cached_property
+    def points(self) -> list:
+        """The atoms as ProjectivePoint objects, built on first use."""
+        return [ProjectivePoint(row) for row in self.coeffs]
 
     @property
     def atoms(self) -> list:
@@ -84,7 +106,7 @@ class AtomicMeasure:
 
     def coeff_matrix(self) -> np.ndarray:
         """(m, n+1) array whose rows are the unit atom representatives."""
-        return np.array([p.coeffs for p in self.points])
+        return self.coeffs
 
     # ---- JSON schema -----------------------------------------------------
     # {"n": int, "atoms": [{"z": [[re, im], ...], "w": weight}, ...]}
@@ -93,8 +115,8 @@ class AtomicMeasure:
         return {
             "n": self.dim,
             "atoms": [
-                {"z": [complex_to_pair(v) for v in p.coeffs], "w": float(w)}
-                for p, w in self.atoms
+                {"z": [complex_to_pair(v) for v in row], "w": float(w)}
+                for row, w in zip(self.coeffs, self.weights)
             ],
         }
 
@@ -113,20 +135,19 @@ class AtomicMeasure:
         raw_atoms = data["atoms"]
         if not isinstance(raw_atoms, list) or not raw_atoms:
             raise InvalidInput('"atoms" must be a non-empty list')
-        points, weights = [], []
+        rows, weights = [], []
         for entry in raw_atoms:
             if not isinstance(entry, dict) or "z" not in entry or "w" not in entry:
                 raise InvalidInput('each atom needs keys "z" and "w"')
             zpairs = entry["z"]
             if not isinstance(zpairs, list) or len(zpairs) != n + 1:
                 raise InvalidInput(f'atom "z" must list n+1 = {n + 1} coordinates')
-            z = np.array([pair_to_complex(v) for v in zpairs])
+            rows.append([pair_to_complex(v) for v in zpairs])
             w = entry["w"]
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise InvalidInput('atom "w" must be a number')
-            points.append(ProjectivePoint(z))
             weights.append(float(w))
-        return cls(points, weights)
+        return cls(np.array(rows, dtype=complex), weights)
 
     @classmethod
     def from_json(cls, text: str) -> "AtomicMeasure":
@@ -137,42 +158,53 @@ class AtomicMeasure:
         return cls.from_json_dict(data)
 
 
-def _merge_atoms(points, weights, merge_tol):
-    """Fold atoms with pairwise overlap >= 1 - merge_tol into first occurrences."""
-    z = np.array([p.coeffs for p in points])
-    overlaps = np.abs(z @ z.conj().T)
-    keep: list[int] = []
-    target = {}
-    for i in range(len(points)):
-        owner = -1
-        for j in keep:
-            if overlaps[i, j] >= 1.0 - merge_tol:
-                owner = j
-                break
-        if owner < 0:
-            keep.append(i)
-            target[i] = i
-        else:
-            target[i] = owner
-    if len(keep) == len(points):
-        return points, weights
-    merged_w = {j: 0.0 for j in keep}
-    for i in range(len(points)):
-        merged_w[target[i]] += weights[i]
-    new_points = [points[j] for j in keep]
-    new_weights = np.array([merged_w[j] for j in keep])
-    return new_points, new_weights
+def _merge_atoms(z, weights):
+    """Fold each atom into the earliest kept atom it overlaps.
+
+    Overlap means |<z_i, z_j>| >= 1 - MERGE_TOL.  Only atoms whose keys
+    |<z, v>|, for one fixed generic unit v, lie within MERGE_WINDOW of each
+    other can overlap.  Kept atoms are taken in index order, and each claims
+    the later unclaimed atoms in its key window that pass the exact test.
+    Merged weights are summed in index order.
+    """
+    m, k = z.shape
+    c = np.arange(k)
+    probe = np.sqrt(c + 1.0) * np.exp(2.4j * c)  # distinct moduli and phases
+    keys = np.abs(z @ (probe / np.linalg.norm(probe)))
+    order = np.argsort(keys)
+    ordered = keys[order]
+    lo = np.searchsorted(ordered, ordered - MERGE_WINDOW)
+    hi = np.searchsorted(ordered, ordered + MERGE_WINDOW, side="right")
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m)
+    owner = np.arange(m)
+    for a in np.flatnonzero((hi - lo)[rank] > 1):  # another key within reach
+        if owner[a] != a:  # claimed by an earlier kept atom
+            continue
+        near = order[lo[rank[a]] : hi[rank[a]]]
+        near = near[(near > a) & (owner[near] == near)]
+        owner[near[np.abs(z[near] @ z[a].conj()) >= 1.0 - MERGE_TOL]] = a
+    keep = owner == np.arange(m)
+    if keep.all():
+        return z, weights
+    return z[keep], np.bincount(owner, weights=weights, minlength=m)[keep]
+
+
+def move_rows(g: np.ndarray, z: np.ndarray):
+    """Rows g z_i, their norms and the unit rows g z_i / ||g z_i||."""
+    if g.shape[0] != z.shape[1]:
+        raise InvalidInput("group element size does not match the measure")
+    moved = (g @ z.T).T
+    norms = np.linalg.norm(moved, axis=1)
+    if np.any(norms < MIN_VECTOR_NORM):
+        raise NumericalDegeneracy("group action annihilated an atom representative")
+    return moved, norms, moved / norms[:, None]
 
 
 def pushforward(g: GroupElement, nu: AtomicMeasure) -> AtomicMeasure:
     """The image measure g.nu: each atom moved by the projective action."""
-    if g.size != nu.dim + 1:
-        raise InvalidInput("group element size does not match the measure")
-    moved = (g.g @ nu.coeff_matrix().T).T
-    norms = np.linalg.norm(moved, axis=1)
-    if np.any(norms < 1e-150):
-        raise NumericalDegeneracy("group action annihilated an atom representative")
-    return AtomicMeasure([ProjectivePoint(row) for row in moved], nu.weights)
+    moved, _, _ = move_rows(g.g, nu.coeffs)
+    return AtomicMeasure(moved, nu.weights)
 
 
 def momentum(nu: AtomicMeasure) -> MomentumMatrix:
@@ -185,12 +217,7 @@ def momentum(nu: AtomicMeasure) -> MomentumMatrix:
 
 def kempf_ness(nu: AtomicMeasure, g: GroupElement) -> float:
     """Psi(nu, g) = sum_i w_i log ||g z_i||."""
-    if g.size != nu.dim + 1:
-        raise InvalidInput("group element size does not match the measure")
-    moved = (g.g @ nu.coeff_matrix().T).T
-    norms = np.linalg.norm(moved, axis=1)
-    if np.any(norms < 1e-150):
-        raise NumericalDegeneracy("||g z|| underflowed in the energy evaluation")
+    _, norms, _ = move_rows(g.g, nu.coeffs)
     return float(nu.weights @ np.log(norms))
 
 

@@ -296,14 +296,10 @@ def polystable_decompose(
         for idx, mass, q in zip(groups, masses, bases):
             k = q.shape[1]
             if k == 1:
-                sub = AtomicMeasure(
-                    [ProjectivePoint(np.array([1.0 + 0.0j]))], np.array([1.0])
-                )
+                sub = AtomicMeasure(np.ones((1, 1), dtype=complex), np.array([1.0]))
             else:
                 coords = (q.conj().T @ z[idx].T).T
-                sub = AtomicMeasure(
-                    [ProjectivePoint(row) for row in coords], w[idx] / mass
-                )
+                sub = AtomicMeasure(coords, w[idx] / mass)
                 sub_verdict = classify(sub, tol_eq=tol_eq, partition_cap=cap)
                 if sub_verdict.kind is not StabilityKind.STABLE:
                     ok = False

@@ -7,6 +7,8 @@ byte-for-byte idempotent once the data has been normalized.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -71,7 +73,7 @@ def pair_to_complex(pair) -> complex:
     if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
         raise InvalidInput(f"expected numeric [re, im] pair, got {pair!r}")
     z = complex(float(re), float(im))
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InvalidInput(f"non-finite complex entry: {pair!r}")
     return z
 

@@ -99,11 +99,12 @@ def lambda_via_flow(nu: AtomicMeasure, d: SpectralDirection, t_max: float = 40.0
     return total
 
 
-def span_basis(points: list, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the linear span of the given points."""
-    if not points:
+def span_basis(points, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of points or coefficient rows."""
+    if len(points) == 0:
         raise EmptySpan("no points were given")
-    cols = np.array([p.coeffs for p in points]).T  # (n+1, k)
+    rows = points if isinstance(points, np.ndarray) else [p.coeffs for p in points]
+    cols = np.array(rows).T  # (n+1, k)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     rank = int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
     if rank == 0:

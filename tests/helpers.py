@@ -292,6 +292,33 @@ def direct_momentum_residual(g: GroupElement, nu: AtomicMeasure) -> float:
     return float(np.linalg.norm(total - np.eye(k) / k))
 
 
+def reference_merge(z: np.ndarray, weights: np.ndarray, merge_tol: float = 1e-12):
+    """All-pairs atom merge: the O(m^2) rule the window merge must reproduce.
+
+    Takes canonical rows; each atom folds into the earliest kept atom with
+    overlap >= 1 - merge_tol.  Returns the kept row indices and the merged
+    weights, summed in index order.
+    """
+    overlaps = np.abs(z @ z.conj().T)
+    keep: list[int] = []
+    target = {}
+    for i in range(len(z)):
+        owner = -1
+        for j in keep:
+            if overlaps[i, j] >= 1.0 - merge_tol:
+                owner = j
+                break
+        if owner < 0:
+            keep.append(i)
+            target[i] = i
+        else:
+            target[i] = owner
+    merged_w = {j: 0.0 for j in keep}
+    for i in range(len(z)):
+        merged_w[target[i]] += weights[i]
+    return np.array(keep), np.array([merged_w[j] for j in keep])
+
+
 def perturbed_stable(
     r: np.random.Generator, nu: AtomicMeasure, margin: float
 ) -> AtomicMeasure:

@@ -5,6 +5,7 @@ import pytest
 
 from measure_balancer import (
     AtomicMeasure,
+    BalancerError,
     DegenerateHull,
     GroupElement,
     InvalidInput,
@@ -178,6 +179,17 @@ def test_balance_accepts_custom_start():
     assert np.linalg.norm(s0 - s1) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "path",
+    [{}, {"method": "geodesic-descent"}, {"target_rho": np.eye(3) / 3.0}],
+    ids=["fixed-point", "geodesic-descent", "target"],
+)
+def test_wrong_size_start_is_an_input_error(path):
+    nu = stable_measure(rng(55), 2)
+    with pytest.raises(InvalidInput, match="start element size"):
+        balance(nu, start=GroupElement(np.eye(4)), **path)
+
+
 # ---------------------------------------------------------------------------
 # Gram operator
 
@@ -270,6 +282,19 @@ def test_solve_target_validates_the_state():
         solve_target(nu, np.array([[0.5, 0.3], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(InvalidInput):
         solve_target(nu, np.eye(3) / 3.0)  # wrong size
+
+
+def test_solve_target_rejects_an_overflowing_trial_step():
+    # Newton trial steps on this ill-conditioned stable measure overflow
+    # exp(step * direction); such a step is rejected and halved, so the solve
+    # never reports the overflow as an input error.
+    eps = 1e-5
+    nu = measure_on([[1.0, 0.0], [eps, 1.0], [1j * eps, 1.0], [-eps, 1.0]], [0.4, 0.2, 0.2, 0.2])
+    with np.errstate(all="ignore"):
+        try:
+            solve_target(nu, np.diag([0.01, 0.99]))
+        except BalancerError as exc:
+            assert not isinstance(exc, InvalidInput), exc
 
 
 def test_solve_target_requires_stability():

@@ -7,6 +7,7 @@ from measure_balancer import (
     AtomicMeasure,
     GroupElement,
     InvalidInput,
+    NumericalDegeneracy,
     ProjectivePoint,
     kempf_ness,
     kempf_ness_derivative,
@@ -14,6 +15,7 @@ from measure_balancer import (
     pushforward,
     spectral_decompose,
 )
+from measure_balancer.geometry import canonical_rows
 
 from helpers import (
     direct_momentum_residual,
@@ -23,6 +25,8 @@ from helpers import (
     random_point,
     random_traceless_hermitian,
     random_unitary,
+    random_vector,
+    reference_merge,
     rng,
 )
 
@@ -71,6 +75,168 @@ def test_weights_are_read_only():
     nu = measure_on([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     with pytest.raises(ValueError):
         nu.weights[0] = 0.9
+
+
+def test_coefficients_are_read_only():
+    nu = measure_on([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+    assert nu.coeff_matrix() is nu.coeffs
+    with pytest.raises(ValueError):
+        nu.coeffs[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# canonical rows: one code path for arrays, measures and points
+
+
+def _outcome(make):
+    """The canonical coefficient bytes, or the exception type and message."""
+    try:
+        return make().tobytes()
+    except Exception as exc:  # compared across the paths below
+        return type(exc), str(exc)
+
+
+def test_array_and_point_canonicalization_agree_bit_for_bit():
+    r = rng(31)
+    z = np.array([random_vector(r, 4) for _ in range(12)])
+    z[:4] *= r.uniform(1e-3, 1e3, size=(4, 1))  # far from unit norm
+    z[4:8] = z[:4] * np.exp(2j * np.pi * r.uniform(size=(4, 1)))  # phase-rotated
+    z[8:, 0] = 1e-11 * random_vector(r, 4)  # below-tolerance first coordinate
+    z[11] = canonical_rows(z[11:])[0]  # already canonical
+    rows = canonical_rows(z)
+    for raw, row in zip(z, rows):
+        assert ProjectivePoint(raw).coeffs.tobytes() == row.tobytes()
+        assert ProjectivePoint(row).coeffs.tobytes() == row.tobytes()
+    distinct = np.r_[0:4, 8:12]  # rows 4-7 are the same points as rows 0-3
+    nu = AtomicMeasure(z[distinct], np.full(8, 1 / 8))
+    assert nu.coeffs.tobytes() == rows[distinct].tobytes()
+    assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "raw, frozen",
+    [
+        (
+            [0.57 - 1.847j, -0.056 + 1.567j, 0.747 - 0.096j],
+            [0.7433249390495041 + 0j, -0.5821505645206403 + 0.15711945056307133j,
+             0.11998492560187987 + 0.2636016902419644j],
+        ),
+        (
+            [-0.153 - 1.514j, 0.686 + 0.395j, -0.87 - 0.671j],
+            [0.7470356281549578 + 0j, -0.22679044231006473 + 0.3155663825897365j,
+             0.37067933645529316 - 0.39181443726364157j],
+        ),
+    ],
+)
+def test_canonical_rows_frozen_values(raw, frozen):
+    # The last bits of these rows depend on how the row norm and the pivot
+    # modulus are computed; serialized measures must not change with them.
+    assert canonical_rows(np.array([raw, raw])).tolist() == [frozen, frozen]
+    assert ProjectivePoint(raw).coeffs.tolist() == frozen
+
+
+ZERO = (NumericalDegeneracy, "cannot normalize a (numerically) zero vector")
+
+
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        ([np.nan, 1.0], (InvalidInput, "projective point coordinates must be finite")),
+        ([1.0, np.inf], (InvalidInput, "projective point coordinates must be finite")),
+        ([0.0, 0.0], ZERO),
+        ([1e-160, 1e-160j], ZERO),
+        ([1e200, 1e200], (NumericalDegeneracy, "no coordinate exceeds the phase pivot tolerance")),
+        ([1e-13, 1e-13j], None),  # every coordinate below the pivot tolerance
+    ],
+)
+def test_bad_rows_fail_alike_on_every_path(row, expected):
+    row = np.array(row, dtype=complex)
+    with np.errstate(all="ignore"):
+        point = _outcome(lambda: ProjectivePoint(row).coeffs)
+        array = _outcome(lambda: canonical_rows(row[None])[0])
+        measure = _outcome(
+            lambda: AtomicMeasure(np.array([[1.0, 0.0], row]), [0.5, 0.5]).coeffs[1]
+        )
+    assert point == array == measure
+    if expected is None:
+        assert isinstance(point, bytes)
+    else:
+        assert point == expected
+
+
+# ---------------------------------------------------------------------------
+# atom merging against the all-pairs reference
+
+
+def _near(r, v, dist):
+    """A point at Fubini-Study distance dist from the unit vector v, any phase."""
+    u = random_vector(r, v.size)
+    u = u - np.vdot(v, u) * v
+    u = u / np.linalg.norm(u)
+    return (np.cos(dist) * v + np.sin(dist) * u) * np.exp(2j * np.pi * r.uniform())
+
+
+def _merge_family(name, r):
+    if name == "exact-repeats":
+        base = np.array([random_vector(r, 3) for _ in range(40)])
+        return np.vstack([base, base[r.integers(0, 40, 60)]])
+    if name == "phase-rotated-repeats":
+        base = np.array([random_vector(r, 3) for _ in range(40)])
+        turn = r.uniform(0.5, 2.0, (60, 1)) * np.exp(2j * np.pi * r.uniform(size=(60, 1)))
+        return np.vstack([base, base[r.integers(0, 40, 60)] * turn])
+    if name == "cp1-equator":
+        phi = r.uniform(0.0, 2.0 * np.pi, 80)
+        phi = np.concatenate([phi, phi[:40]])
+        return np.stack([np.ones(120), np.exp(1j * phi)], axis=1)
+    if name == "near-duplicates-tiny-pivot":
+        base = np.array([random_vector(r, 3) for _ in range(30)])
+        base[:, 0] = 1e-11 * random_vector(r, 30)
+        base = canonical_rows(base)
+        near = []
+        for t in range(90):
+            v = _near(r, base[t % 30], 10.0 ** r.uniform(-9.0, np.log10(3e-6)))
+            v[0] = 1e-11 * complex(*r.normal(size=2))
+            near.append(v)
+        return np.vstack([base, near])
+    if name == "chains":
+        # a ~ b ~ c with a !~ c: steps of 1.2e-6 merge (threshold ~1.41e-6),
+        # two steps do not.  In the order a, c, b the atom b overlaps two kept
+        # atoms and must fold into the earlier one, a.
+        rows = []
+        for t in range(60):
+            v = canonical_rows(random_vector(r, 4)[None])[0]
+            u = _near(r, v, np.pi / 2)
+            a, b, c = (np.cos(s) * v + np.sin(s) * u for s in (0.0, 1.2e-6, 2.4e-6))
+            rows.extend([(a, b, c), (a, c, b), (b, a, c)][t % 3])
+        return np.array(rows)
+    # the benchmark cloud: n = 20, m = 2500, a tenth of the atoms exact repeats
+    base = np.array([random_vector(r, 21) for _ in range(2250)])
+    z = np.vstack([base, base[r.choice(2250, 250, replace=False)]])
+    return z[r.permutation(2500)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        "exact-repeats",
+        "phase-rotated-repeats",
+        "cp1-equator",
+        "near-duplicates-tiny-pivot",
+        "chains",
+        "cloud-n20-m2500",
+    ],
+)
+def test_merge_matches_all_pairs_reference(family):
+    r = rng(32)
+    z = _merge_family(family, r)
+    w = r.dirichlet(np.full(len(z), 3.0))
+    assert abs(w.sum() - 1.0) <= 1e-12  # no renormalization before merging
+    rows = canonical_rows(z)
+    keep, merged = reference_merge(rows, w)
+    nu = AtomicMeasure(z, w)
+    assert 0 < keep.size < len(z)
+    assert nu.coeffs.tobytes() == rows[keep].tobytes()
+    assert nu.weights.tobytes() == merged.tobytes()
 
 
 # ---------------------------------------------------------------------------
