@@ -98,7 +98,6 @@ from .stability import (  # noqa: E402
     Subspace,
     candidate_subspaces,
     classify,
-    donaldson_conditions,
     polystable_decompose,
 )
 from .weights import (  # noqa: E402
@@ -153,7 +152,6 @@ __all__ = [
     "center_of_mass",
     "classify",
     "destabilizing_direction",
-    "donaldson_conditions",
     "direction_from_projectors",
     "flow_limit",
     "flow_point",

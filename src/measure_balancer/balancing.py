@@ -99,6 +99,12 @@ def _det_normalize(s: np.ndarray) -> np.ndarray:
     return s * np.exp(-logdet / s.shape[0])
 
 
+def check_max_iter(max_iter: int) -> None:
+    """Reject a negative iteration cap (0 means: evaluate the start only)."""
+    if max_iter < 0:
+        raise InvalidInput(f"iteration cap must be >= 0, got {max_iter}")
+
+
 def _start_element(nu: AtomicMeasure, start) -> np.ndarray:
     """The start iterate as a matrix: the identity, or start checked in size."""
     k = nu.dim + 1
@@ -331,6 +337,7 @@ def balance(
     max_iter : iteration cap.
     start : optional GroupElement used as the starting iterate.
     """
+    check_max_iter(max_iter)
     if target_rho is not None:
         return solve_target(nu, target_rho, tol=tol, max_iter=max_iter, start=start)
     key = method.replace("_", "-").lower()
@@ -404,6 +411,7 @@ def solve_target(
     coefficients use the Gram operator of the momentum derivative at the
     current configuration, with Armijo backtracking on the squared residual.
     """
+    check_max_iter(max_iter)
     k = nu.dim + 1
     rho = _validate_target(rho, k)
     verdict = classify(nu, tol_eq=tol_eq)
@@ -557,6 +565,7 @@ def torus_solve(
     the reachable polytope (LP-checked); MaxIterations is raised when the
     cap is hit, as happens for targets approaching the boundary.
     """
+    check_max_iter(max_iter)
     k = nu.dim + 1
     beta = np.asarray(beta, dtype=float).reshape(-1)
     if beta.size != k:

@@ -46,7 +46,6 @@ from .stability import (
     StabilityVerdict,
     Subspace,
     classify,
-    polystable_decompose,
 )
 from .util import canonical_json, fmt_float, matrix_to_pairs, pairs_to_matrix
 from .weights import lambda_via_flow, maximal_weight
@@ -172,9 +171,8 @@ def cmd_classify(args) -> int:
     nu = _load_measure(args.measure)
     tol_eq = 0.0 if args.strict else args.tol_eq
     verdict = classify(nu, tol_eq=tol_eq)
-    if args.decompose and verdict.decomposition is None:
-        if verdict.kind is StabilityKind.STABLE:
-            verdict.decomposition = polystable_decompose(nu, tol_eq=tol_eq) or None
+    if args.decompose and verdict.kind is StabilityKind.STABLE:
+        verdict.decomposition = PolystableSplitting.single_block(nu)
     boundary = abs(verdict.margin) <= max(args.tol_eq, 1e-15) and args.strict
     _print_verdict(verdict, boundary)
     return _KIND_EXIT[verdict.kind]

@@ -145,11 +145,16 @@ class GroupElement:
             raise InvalidInput("group element must be a square matrix")
         if not np.all(np.isfinite(g)):
             raise InvalidInput("group element entries must be finite")
-        det = np.linalg.det(g)
-        if abs(det) < MIN_VECTOR_NORM:
-            raise InvalidInput("group element must be invertible")
-        if abs(det - 1.0) > 1e-13:
-            g = g * det ** (-1.0 / g.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(g)
+            if not np.isfinite(det):
+                raise InvalidInput("group element determinant overflows")
+            if abs(det) < MIN_VECTOR_NORM:
+                raise InvalidInput("group element must be invertible")
+            if abs(det - 1.0) > 1e-13:
+                g = g * det ** (-1.0 / g.shape[0])
+                if not np.all(np.isfinite(g)):
+                    raise InvalidInput("normalized group element entries must be finite")
         g.flags.writeable = False
         self.g = g
 

@@ -25,6 +25,7 @@ from .balancing import (
     VERDICT_DIVERGED,
     BalanceResult,
     balance,
+    check_max_iter,
 )
 from .errors import InvalidInput
 from .geometry import GroupElement, ProjectivePoint
@@ -176,6 +177,7 @@ def hersch_balance(
     mass of the transported measure is returned along with the Mobius
     transformation (as an element of SL(2, C)).
     """
+    check_max_iter(max_iter)
     nu = to_projective(sm)
     verdict = classify(nu, cap=max(16, nu.atom_count))
     if verdict.kind is StabilityKind.UNSTABLE:

@@ -7,13 +7,30 @@ any L to the span of the atoms it contains preserves nu(L) and can only
 lower the dimension — so the classifier enumerates those spans, deduplicated
 by which atoms they contain.
 
-A semistable measure on the boundary is polystable exactly when the atoms
-can be partitioned into groups whose spans are linearly independent, fill
-C^(n+1), carry mass dim/(n+1) each, and are stable within their own block
-(1-dimensional blocks are stable by convention).  A block larger than the
-span of its atoms would give those atoms full mass on a proper subspace of
-the block, contradicting within-block stability, so partitioning atom
-groups is a complete search.
+A semistable measure on the boundary is polystable exactly when C^(n+1) is a
+direct sum of blocks V_1, ..., V_k such that every atom lies in some V_j,
+nu(V_j) = dim V_j/(n+1), and nu restricted to V_j is stable within V_j
+(1-dimensional blocks are stable by convention).  Dimensions here are
+linear.  Call a candidate S *tight* when nu(S) = dim S/(n+1) within tol_eq.
+The splitting is read off the minimal tight flats (minimal by atom set):
+
+* If nu is polystable with blocks V_j, then for every subspace L,
+  nu(L) = sum_j nu(L & V_j) <= sum_j dim(L & V_j)/(n+1) <= dim L/(n+1):
+  the first step is stability inside each block, strict unless every
+  L & V_j is 0 or V_j, and the second holds because the L & V_j are
+  independent.  So every tight flat is a sum of blocks, the minimal tight
+  flats are exactly the blocks, and the splitting is unique.
+* Conversely, let the minimal tight flats partition the atoms and let their
+  spans be independent and fill C^(n+1).  A proper sub-flat F of such a
+  flat V holds fewer atoms than V (V is spanned by its atoms); if
+  nu(F) = dim F/(n+1), F would itself be tight (semistability gives <=) and
+  V would not be minimal.  Hence nu(F) < dim F/(n+1) = (dim F/dim V) nu(V):
+  each block is stable inside itself.
+
+Shrinking a tight flat to the span of its atoms keeps nu, and
+semistability stops the dimension from dropping, so every tight flat is
+atom-spanned: the candidate list the classifier already built holds them
+all, and the split is neither a search nor recursive.
 """
 
 from __future__ import annotations
@@ -30,7 +47,6 @@ from .measures import AtomicMeasure
 
 DEFAULT_TOL_EQ = 1e-9  # margin within this of 0 counts as boundary equality
 DEFAULT_ENUMERATION_CAP = 16  # max atom count for subspace enumeration
-DEFAULT_PARTITION_CAP = 12  # max atom count for splitting search
 MEMBERSHIP_TOL = 1e-10  # residual below which an atom lies in a span
 
 
@@ -95,6 +111,12 @@ class PolystableSplitting:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
+
+    @classmethod
+    def single_block(cls, nu: AtomicMeasure) -> "PolystableSplitting":
+        """The trivial splitting of a stable measure: C^(n+1) itself."""
+        basis = np.eye(nu.dim + 1, dtype=complex)
+        return cls(blocks=[SplittingBlock(basis=basis, measure=nu, mass=1.0)])
 
 
 class _NotPolystableType:
@@ -175,14 +197,13 @@ def classify(
     nu: AtomicMeasure,
     tol_eq: float = DEFAULT_TOL_EQ,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    partition_cap: int = DEFAULT_PARTITION_CAP,
 ) -> StabilityVerdict:
     """Classify a measure as stable / polystable / semistable / unstable.
 
     The margin is min over candidate subspaces of (dim L + 1)/(n + 1) - nu(L);
-    |margin| <= tol_eq counts as boundary equality, decided by the splitting
-    search.  The certificate is the minimizing subspace whenever the verdict
-    is not Stable.
+    |margin| <= tol_eq counts as boundary equality, decided by the minimal
+    tight flats among the same candidates.  The certificate is the minimizing
+    subspace whenever the verdict is not Stable.
     """
     cands = candidate_subspaces(nu, cap=cap)
     margin, worst = _margin_and_worst(nu, cands)
@@ -192,9 +213,7 @@ def classify(
         return StabilityVerdict(
             kind=StabilityKind.UNSTABLE, margin=margin, certificate=worst
         )
-    splitting = polystable_decompose(
-        nu, tol_eq=tol_eq, cap=partition_cap, _known_margin=margin
-    )
+    splitting = _tight_flat_splitting(nu, cands, tol_eq)
     if splitting is NotPolystable:
         kind = StabilityKind.SEMISTABLE_NOT_POLYSTABLE
         decomposition = None
@@ -206,124 +225,57 @@ def classify(
     )
 
 
-def _partitions(count: int, max_groups: int):
-    """Set partitions of range(count) with at most max_groups groups.
+def _tight_flat_splitting(
+    nu: AtomicMeasure, cands: list, tol_eq: float
+) -> "PolystableSplitting | _NotPolystableType":
+    """The splitting of a boundary measure by its minimal tight flats.
 
-    Canonical (restricted growth) order; yields group-index assignments.
+    See the module docstring: the measure is polystable iff the minimal
+    tight flats partition the atoms and their spans are independent and fill
+    C^(n+1); the blocks are then those flats, ordered by smallest atom.
     """
-    assignment = [0] * count
-
-    def rec(i: int, ngroups: int):
-        if i == count:
-            yield list(assignment)
-            return
-        for g in range(ngroups):
-            assignment[i] = g
-            yield from rec(i + 1, ngroups)
-        if ngroups < max_groups:
-            assignment[i] = ngroups
-            yield from rec(i + 1, ngroups + 1)
-
-    yield from rec(0, 0)
+    k = nu.dim + 1
+    tight = [c for c in cands if abs(c.linear_dim / k - c.mass) <= tol_eq]
+    atom_sets = [frozenset(c.atom_indices) for c in tight]
+    minimal = [c for c, s in zip(tight, atom_sets) if not any(t < s for t in atom_sets)]
+    minimal.sort(key=lambda c: c.atom_indices[0])
+    if sorted(i for c in minimal for i in c.atom_indices) != list(range(nu.atom_count)):
+        return NotPolystable
+    z = nu.coeff_matrix()
+    w = nu.weights
+    bases = []
+    for c in minimal:
+        u, s, _ = np.linalg.svd(z[list(c.atom_indices)].T, full_matrices=False)
+        bases.append(u[:, : int(np.sum(s > 1e-10 * s[0]))])
+    stacked = np.hstack(bases)
+    if stacked.shape[1] != k:
+        return NotPolystable
+    sv = np.linalg.svd(stacked, compute_uv=False)
+    if sv[-1] <= 1e-10 * sv[0]:  # spans are not jointly independent
+        return NotPolystable
+    blocks = []
+    for c, q in zip(minimal, bases):
+        idx = list(c.atom_indices)
+        if q.shape[1] == 1:
+            sub = AtomicMeasure(np.ones((1, 1), dtype=complex), np.array([1.0]))
+        else:
+            sub = AtomicMeasure((q.conj().T @ z[idx].T).T, w[idx] / c.mass)
+        blocks.append(SplittingBlock(basis=q, measure=sub, mass=c.mass))
+    return PolystableSplitting(blocks=blocks)
 
 
 def polystable_decompose(
-    nu: AtomicMeasure,
-    tol_eq: float = DEFAULT_TOL_EQ,
-    cap: int = DEFAULT_PARTITION_CAP,
-    _known_margin: float | None = None,
+    nu: AtomicMeasure, tol_eq: float = DEFAULT_TOL_EQ
 ) -> "PolystableSplitting | _NotPolystableType":
-    """Search for a splitting certifying polystability.
+    """The splitting certifying polystability of a semistable measure.
 
     Returns the :data:`NotPolystable` sentinel (falsy) when no splitting
-    exists.  Requires nu semistable.  Stable measures get the trivial
-    single-block splitting.  Otherwise atoms are partitioned into groups; a
-    partition is a valid splitting when the group spans are jointly
-    independent and fill C^(n+1), each group's mass is dim/(n+1), and each
-    restricted measure (re-expressed in an orthonormal basis of its span) is
-    recursively stable.
+    exists and raises NotSemistable for an unstable measure.  Stable
+    measures get the single-block splitting.
     """
-    n = nu.dim
-    m = nu.atom_count
-    if m > cap:
-        raise TooManyAtoms(f"{m} atoms exceeds the partition cap {cap}")
-    if _known_margin is None:
-        cands = candidate_subspaces(nu, cap=max(cap, DEFAULT_ENUMERATION_CAP))
-        margin, _ = _margin_and_worst(nu, cands)
-    else:
-        margin = _known_margin
-    if margin < -tol_eq:
-        raise NotSemistable(f"measure is unstable (margin {margin:.3e})")
-    if margin > tol_eq:
-        block = SplittingBlock(
-            basis=np.eye(n + 1, dtype=complex), measure=nu, mass=1.0
-        )
-        return PolystableSplitting(blocks=[block])
-    z = nu.coeff_matrix()
-    w = nu.weights
-    for assignment in _partitions(m, max_groups=n + 1):
-        ngroups = max(assignment) + 1
-        if ngroups == 1:
-            # the whole-space block needs a stable measure, already ruled out
-            continue
-        groups = [np.flatnonzero(np.array(assignment) == g) for g in range(ngroups)]
-        # cheap filter: each group's mass must be (integer)/(n+1)
-        masses = [float(w[idx].sum()) for idx in groups]
-        dims_from_mass = [mass * (n + 1) for mass in masses]
-        if any(abs(d - round(d)) > tol_eq * (n + 1) or round(d) < 1 for d in dims_from_mass):
-            continue
-        if sum(round(d) for d in dims_from_mass) != n + 1:
-            continue
-        bases = []
-        ok = True
-        for idx, mass, dm in zip(groups, masses, dims_from_mass):
-            cols = z[idx].T
-            u, s, _ = np.linalg.svd(cols, full_matrices=False)
-            rank = int(np.sum(s > 1e-10 * s[0]))
-            if rank != round(dm):  # span dim must match the mass condition
-                ok = False
-                break
-            bases.append(u[:, :rank])
-        if not ok:
-            continue
-        stacked = np.hstack(bases)
-        if stacked.shape[1] != n + 1:
-            continue
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:  # spans are not jointly independent
-            continue
-        blocks = []
-        for idx, mass, q in zip(groups, masses, bases):
-            k = q.shape[1]
-            if k == 1:
-                sub = AtomicMeasure(np.ones((1, 1), dtype=complex), np.array([1.0]))
-            else:
-                coords = (q.conj().T @ z[idx].T).T
-                sub = AtomicMeasure(coords, w[idx] / mass)
-                sub_verdict = classify(sub, tol_eq=tol_eq, partition_cap=cap)
-                if sub_verdict.kind is not StabilityKind.STABLE:
-                    ok = False
-                    break
-            blocks.append(SplittingBlock(basis=q, measure=sub, mass=mass))
-        if ok:
-            return PolystableSplitting(blocks=blocks)
-    return NotPolystable
-
-
-def donaldson_conditions(
-    nu: AtomicMeasure,
-    tol_eq: float = DEFAULT_TOL_EQ,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[bool, bool]:
-    """Two classical sufficient conditions for the existence of a balancer.
-
-    Condition 1: every candidate hyperplane carries measure zero (false for
-    any atomic measure, since the hyperplane through an atom has positive
-    mass).  Condition 2: nu(L)/(dim L + 1) < 1/(n + 1) strictly for every
-    candidate subspace.  Either condition implies the measure is stable.
-    """
-    n = nu.dim
-    cands = candidate_subspaces(nu, cap=cap)
-    cond1 = not any(c.mass > 0.0 for c in cands if c.proj_dim <= n - 1)
-    cond2 = all(c.linear_dim / (n + 1) - c.mass > tol_eq for c in cands)
-    return cond1, cond2
+    verdict = classify(nu, tol_eq=tol_eq)
+    if verdict.kind is StabilityKind.UNSTABLE:
+        raise NotSemistable(f"measure is unstable (margin {verdict.margin:.3e})")
+    if verdict.kind is StabilityKind.STABLE:
+        return PolystableSplitting.single_block(nu)
+    return verdict.decomposition or NotPolystable

@@ -3,7 +3,9 @@
 Everything here is seeded through numpy's PCG64 generator; no test should
 draw from global random state.  The oracles (bisection, finite differences,
 hull membership) are written from scratch on purpose — they cross-check the
-package instead of reusing its internals.
+package instead of reusing its internals.  The references (`reference_merge`,
+`reference_polystable_decompose`) are the package's former exhaustive
+algorithms, kept unchanged so the faster replacements can be held to them.
 """
 
 from __future__ import annotations
@@ -14,13 +16,20 @@ from scipy.optimize import linprog
 from measure_balancer import (
     AtomicMeasure,
     GroupElement,
+    NotPolystable,
+    NotSemistable,
+    PolystableSplitting,
     ProjectivePoint,
     SpectralDirection,
+    SplittingBlock,
     StabilityKind,
+    TooManyAtoms,
+    candidate_subspaces,
     classify,
     pushforward,
     spectral_decompose,
 )
+from measure_balancer.stability import _margin_and_worst
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -317,6 +326,116 @@ def reference_merge(z: np.ndarray, weights: np.ndarray, merge_tol: float = 1e-12
     for i in range(len(z)):
         merged_w[target[i]] += weights[i]
     return np.array(keep), np.array([merged_w[j] for j in keep])
+
+
+REFERENCE_PARTITION_CAP = 12  # atoms; the search walks Bell(m) partitions
+
+
+def _partitions(count: int, max_groups: int):
+    """Set partitions of range(count) with at most max_groups groups.
+
+    Canonical (restricted growth) order; yields group-index assignments.
+    """
+    assignment = [0] * count
+
+    def rec(i: int, ngroups: int):
+        if i == count:
+            yield list(assignment)
+            return
+        for g in range(ngroups):
+            assignment[i] = g
+            yield from rec(i + 1, ngroups)
+        if ngroups < max_groups:
+            assignment[i] = ngroups
+            yield from rec(i + 1, ngroups + 1)
+
+    yield from rec(0, 0)
+
+
+def reference_polystable_decompose(
+    nu: AtomicMeasure,
+    tol_eq: float = 1e-9,
+    cap: int = REFERENCE_PARTITION_CAP,
+    _known_margin: float | None = None,
+):
+    """Exhaustive splitting search: the oracle for the tight-flat splitting.
+
+    Walks every set partition of the atoms (Bell-number growth, hence the
+    cap) and classifies each candidate block again; only the margin of those
+    sub-classifications is used, so it does not rely on the package's split.
+    Returns the :data:`NotPolystable` sentinel (falsy) when no splitting
+    exists.  Requires nu semistable.  Stable measures get the trivial
+    single-block splitting.  Otherwise atoms are partitioned into groups; a
+    partition is a valid splitting when the group spans are jointly
+    independent and fill C^(n+1), each group's mass is dim/(n+1), and each
+    restricted measure (re-expressed in an orthonormal basis of its span) is
+    recursively stable.
+    """
+    n = nu.dim
+    m = nu.atom_count
+    if m > cap:
+        raise TooManyAtoms(f"{m} atoms exceeds the partition cap {cap}")
+    if _known_margin is None:
+        cands = candidate_subspaces(nu, cap=max(cap, 16))
+        margin, _ = _margin_and_worst(nu, cands)
+    else:
+        margin = _known_margin
+    if margin < -tol_eq:
+        raise NotSemistable(f"measure is unstable (margin {margin:.3e})")
+    if margin > tol_eq:
+        block = SplittingBlock(
+            basis=np.eye(n + 1, dtype=complex), measure=nu, mass=1.0
+        )
+        return PolystableSplitting(blocks=[block])
+    z = nu.coeff_matrix()
+    w = nu.weights
+    for assignment in _partitions(m, max_groups=n + 1):
+        ngroups = max(assignment) + 1
+        if ngroups == 1:
+            # the whole-space block needs a stable measure, already ruled out
+            continue
+        groups = [np.flatnonzero(np.array(assignment) == g) for g in range(ngroups)]
+        # cheap filter: each group's mass must be (integer)/(n+1)
+        masses = [float(w[idx].sum()) for idx in groups]
+        dims_from_mass = [mass * (n + 1) for mass in masses]
+        if any(abs(d - round(d)) > tol_eq * (n + 1) or round(d) < 1 for d in dims_from_mass):
+            continue
+        if sum(round(d) for d in dims_from_mass) != n + 1:
+            continue
+        bases = []
+        ok = True
+        for idx, mass, dm in zip(groups, masses, dims_from_mass):
+            cols = z[idx].T
+            u, s, _ = np.linalg.svd(cols, full_matrices=False)
+            rank = int(np.sum(s > 1e-10 * s[0]))
+            if rank != round(dm):  # span dim must match the mass condition
+                ok = False
+                break
+            bases.append(u[:, :rank])
+        if not ok:
+            continue
+        stacked = np.hstack(bases)
+        if stacked.shape[1] != n + 1:
+            continue
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        if sv[-1] <= 1e-10 * sv[0]:  # spans are not jointly independent
+            continue
+        blocks = []
+        for idx, mass, q in zip(groups, masses, bases):
+            k = q.shape[1]
+            if k == 1:
+                sub = AtomicMeasure(np.ones((1, 1), dtype=complex), np.array([1.0]))
+            else:
+                coords = (q.conj().T @ z[idx].T).T
+                sub = AtomicMeasure(coords, w[idx] / mass)
+                sub_verdict = classify(sub, tol_eq=tol_eq)
+                if sub_verdict.kind is not StabilityKind.STABLE:
+                    ok = False
+                    break
+            blocks.append(SplittingBlock(basis=q, measure=sub, mass=mass))
+        if ok:
+            return PolystableSplitting(blocks=blocks)
+    return NotPolystable
 
 
 def perturbed_stable(

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import measure_balancer
-from measure_balancer import AtomicMeasure, ProjectivePoint, SphereMeasure
+from measure_balancer import AtomicMeasure, ProjectivePoint, SphereMeasure, stability
 from measure_balancer.cli import main
 
-from helpers import rng, stable_measure
+from helpers import random_vector, rng, stable_measure
 
 
 def write_measure(tmp_path, name, rows, weights):
@@ -129,6 +129,54 @@ def test_decompose_stable_measure_gives_single_block(stable_file, capsys):
     doc = json_tail(capsys.readouterr().out)
     assert len(doc["decomposition"]["blocks"]) == 1
     assert doc["decomposition"]["blocks"][0]["mass"] == pytest.approx(1.0)
+
+
+def thirteen_atoms(kind):
+    """13-atom rows and weights: stable, or on the boundary with or without a split."""
+    r = rng(41)
+    if kind == "stable":
+        nu = stable_measure(r, 2, m=13)
+        return nu.coeff_matrix(), nu.weights
+    if kind == "semistable":  # an atom of mass 1/2 on CP^1 beside 12 others
+        return [[1.0, 0.0]] + [random_vector(r, 2) for _ in range(12)], [0.5] + [1 / 24] * 12
+    # a point of mass 1/3 and 12 atoms on a line that misses it
+    line = [np.concatenate([[0.0], random_vector(r, 2)]) for _ in range(12)]
+    return [[1.0, 0.0, 0.0]] + line, [1 / 3] + [1 / 18] * 12
+
+
+@pytest.mark.parametrize(
+    "command, kind, code",
+    [("decompose", "stable", 0), ("classify", "semistable", 11), ("classify", "polystable", 10)],
+)
+def test_thirteen_atom_measures_are_answered(tmp_path, command, kind, code, capsys):
+    path = write_measure(tmp_path, "m13.json", *thirteen_atoms(kind))
+    assert main([command, path]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json_tail(captured.out)
+    if code == 11:
+        assert doc["decomposition"] is None
+    else:
+        blocks = doc["decomposition"]["blocks"]
+        assert sum(len(b["measure"]["atoms"]) for b in blocks) == 13
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["classify", "--decompose"], ["decompose"]])
+def test_candidates_are_enumerated_once_per_call(
+    argv, stable_file, polystable_file, semistable_file, unstable_file, monkeypatch, capsys
+):
+    calls = []
+    enumerate_candidates = stability.candidate_subspaces
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_candidates(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "candidate_subspaces", counted)
+    for path in (stable_file, polystable_file, semistable_file, unstable_file):
+        calls.clear()
+        main(argv + [path])
+        assert len(calls) == 1, path
 
 
 def test_classify_missing_file_is_input_error(capsys):
@@ -305,6 +353,29 @@ def test_sphere_balance_dominant_atom_exits_20(tmp_path, capsys):
     cert = doc["certificate"]
     assert cert["mass"] == pytest.approx(0.6)
     assert cert["sphere_point"] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["balance", "balance --target", "torus", "sphere balance"])
+@pytest.mark.parametrize("cap, code", [("-1", 2), ("0", 21)])
+def test_iteration_cap_must_not_be_negative(tmp_path, stable_file, command, cap, code, capsys):
+    target = tmp_path / "target.json"
+    target.write_text(
+        json.dumps({"rho": [[[0.6, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.4, 0.0]]]}),
+        encoding="utf-8",
+    )
+    sphere = write_sphere(
+        tmp_path, "sphere.json",
+        [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]], [0.45, 0.3, 0.25],
+    )
+    argv = {
+        "balance": ["balance", stable_file],
+        "balance --target": ["balance", stable_file, "--target", str(target)],
+        "torus": ["torus", stable_file, "--beta", "0.1,-0.1"],
+        "sphere balance": ["sphere", sphere, "balance"],
+    }[command]
+    assert main(argv + ["--max-iter", cap]) == code
+    err = capsys.readouterr().err
+    assert ("iteration cap must be >= 0" in err) == (code == 2)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,18 @@ def test_group_element_rejects_singular():
         GroupElement(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        np.diag([1e200, 1e200, 1.0]),  # the determinant overflows
+        np.diag([1e300, 1e-300, 1e-100]),  # finite determinant, normalization overflows
+    ],
+)
+def test_group_element_rejects_an_overflowing_normalization(g):
+    with pytest.raises(InvalidInput):
+        GroupElement(g)
+
+
 # ---------------------------------------------------------------------------
 # spectral directions
 

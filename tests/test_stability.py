@@ -5,6 +5,9 @@ from math import comb
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from measure_balancer import (
     AtomicMeasure,
     GroupElement,
@@ -15,15 +18,20 @@ from measure_balancer import (
     TooManyAtoms,
     candidate_subspaces,
     classify,
-    donaldson_conditions,
     polystable_decompose,
     pushforward,
 )
 
+from measure_balancer.cli import _splitting_dict
+from measure_balancer.util import canonical_json
+
 from helpers import (
     polystable_measure,
+    random_group,
     random_measure,
     random_unitary,
+    random_vector,
+    reference_polystable_decompose,
     rng,
     semistable_measure,
     stable_measure,
@@ -224,13 +232,6 @@ def test_decompose_refuses_unstable_measure():
         polystable_decompose(nu)
 
 
-def test_decompose_partition_cap_raises():
-    r = rng(37)
-    nu = random_measure(r, 1, 6, weights="equal")
-    with pytest.raises(TooManyAtoms):
-        polystable_decompose(nu, cap=5)
-
-
 def test_plane_splitting_point_plus_line():
     # mass 1/3 on a point, mass 2/3 spread over three atoms of a line that
     # misses the point: blocks of linear dimension 1 and 2.
@@ -255,13 +256,10 @@ def test_plane_splitting_point_plus_line():
     assert classify(line_block.measure).kind is StabilityKind.STABLE
 
 
-def test_splitting_blocks_reassemble_to_the_measure():
-    r = rng(38)
-    nu, dims = polystable_measure(r, 2)
-    s = classify(nu).decomposition
-    assert sorted(b.linear_dim for b in s.blocks) == sorted(dims)
+def assert_blocks_reassemble(nu, splitting):
+    """Block atoms mapped back by their basis, weighted by the block mass, give nu."""
     rebuilt_pts, rebuilt_w = [], []
-    for b in s.blocks:
+    for b in splitting.blocks:
         for p, w in b.measure.atoms:
             rebuilt_pts.append(ProjectivePoint(b.basis @ p.coeffs))
             rebuilt_w.append(w * b.mass)
@@ -273,21 +271,55 @@ def test_splitting_blocks_reassemble_to_the_measure():
         assert w == pytest.approx(match[0], abs=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# balancing existence conditions
+def test_splitting_blocks_reassemble_to_the_measure():
+    r = rng(38)
+    nu, dims = polystable_measure(r, 2)
+    s = classify(nu).decomposition
+    assert sorted(b.linear_dim for b in s.blocks) == sorted(dims)
+    assert_blocks_reassemble(nu, s)
 
 
-def test_first_condition_fails_for_every_atomic_measure():
-    r = rng(39)
-    for n in (1, 2, 3):
-        nu = random_measure(r, n, n + 3)
-        cond1, _ = donaldson_conditions(nu)
-        assert cond1 is False
+def splitting_doc(splitting) -> str:
+    return canonical_json(_splitting_dict(splitting)) if splitting else repr(splitting)
 
 
-def test_second_condition_tracks_stability():
-    r = rng(40)
-    nu_stable = stable_measure(r, 2)
-    assert donaldson_conditions(nu_stable)[1] is True
-    nu_unstable, _, _, _ = unstable_measure(r, 2)
-    assert donaldson_conditions(nu_unstable)[1] is False
+def test_tight_flat_split_matches_the_partition_search():
+    # The exhaustive search is the oracle; blocks, bases and in-block
+    # measures must agree bit for bit, and so must the absence of a split.
+    for n in (1, 2, 3, 4):
+        for seed in range(3):
+            r = rng(1000 * n + seed)
+            for nu in (polystable_measure(r, n)[0], semistable_measure(r, n)):
+                assert nu.atom_count <= 12
+                expected = splitting_doc(reference_polystable_decompose(nu))
+                assert splitting_doc(polystable_decompose(nu)) == expected
+                assert splitting_doc(classify(nu).decomposition or NotPolystable) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_planted_blocks_are_recovered(seed, n):
+    # Blocks of linear dimension d get one atom (d = 1) or d+1 to d+3
+    # generic equal-weight atoms (stable inside the block); the whole
+    # measure is then moved by a random g.
+    r = rng(seed)
+    k = n + 1
+    dims = []
+    while sum(dims) < k:
+        dims.append(int(r.integers(1, k - sum(dims) + (1 if dims else 0))))
+    u = random_unitary(r, k)
+    rows, weights, offset = [], [], 0
+    for d in dims:
+        count = 1 if d == 1 else d + 1 + int(r.integers(0, 3))
+        for _ in range(count):
+            rows.append(u[:, offset : offset + d] @ random_vector(r, d))
+        weights += [d / k / count] * count
+        offset += d
+    nu = pushforward(random_group(r, k, max_log_cond=1.0), measure_on(rows, weights))
+    assert nu.atom_count <= 12
+    v = classify(nu)
+    assert v.kind is StabilityKind.POLYSTABLE_NOT_STABLE
+    blocks = v.decomposition.blocks
+    assert sorted(b.linear_dim for b in blocks) == sorted(dims)
+    assert [b.mass for b in blocks] == pytest.approx([b.linear_dim / k for b in blocks], abs=1e-12)
+    assert_blocks_reassemble(nu, v.decomposition)
