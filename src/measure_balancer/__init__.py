@@ -70,6 +70,7 @@ from .geometry import (  # noqa: E402
     mu_component,
     random_direction_matrices,
     random_directions,
+    span_basis,
     spectral_decompose,
     traceless_hermitian_basis,
 )
@@ -106,7 +107,6 @@ from .weights import (  # noqa: E402
     lambda_closed_form,
     lambda_via_flow,
     maximal_weight,
-    span_basis,
     unstable_partition,
 )
 

@@ -40,14 +40,18 @@ from .errors import (
     TooManyAtoms,
 )
 from .geometry import (
+    EIGENSPACE_MEMBERSHIP_TOL,
     GroupElement,
     SpectralDirection,
     herm_exp,
+    rows_in_span,
+    span_basis,
+    span_rank,
     traceless_hermitian_basis,
 )
 from .measures import AtomicMeasure, move_rows
 from .stability import StabilityKind, Subspace, classify
-from .weights import span_basis
+from .util import check_max_iter, check_tol
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -55,7 +59,9 @@ VERDICT_MAX_ITERATIONS = "max-iterations"
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
+DEFAULT_NEWTON_MAX_ITER = 200  # cap of the Newton solves (target, torus)
 COND_LIMIT = 1e12  # cond(S) beyond this certifies divergence
+GRAM_COND_LIMIT = 1e14  # cond(Gram) beyond this stops a target solve
 MIN_DAMPING = 2.0**-10
 MIN_STEP = 2.0**-40
 ARMIJO_C = 1e-4
@@ -99,12 +105,6 @@ def _det_normalize(s: np.ndarray) -> np.ndarray:
     return s * np.exp(-logdet / s.shape[0])
 
 
-def check_max_iter(max_iter: int) -> None:
-    """Reject a negative iteration cap (0 means: evaluate the start only)."""
-    if max_iter < 0:
-        raise InvalidInput(f"iteration cap must be >= 0, got {max_iter}")
-
-
 def _start_element(nu: AtomicMeasure, start) -> np.ndarray:
     """The start iterate as a matrix: the identity, or start checked in size."""
     k = nu.dim + 1
@@ -130,6 +130,12 @@ def _tyler_state(z: np.ndarray, w: np.ndarray, s: np.ndarray):
     return q, r_mat, s_half, residual, energy
 
 
+def _diverging(s: np.ndarray) -> bool:
+    """S lost definiteness or cond(S) passed COND_LIMIT: divergence."""
+    vals = np.linalg.eigvalsh(s)
+    return vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT
+
+
 def _full_span_certificate(nu: AtomicMeasure) -> Subspace:
     q = span_basis(nu.coeffs)
     return Subspace(
@@ -150,9 +156,7 @@ def _divergence_certificate(nu: AtomicMeasure, s: np.ndarray) -> Subspace:
     best = None
     best_viol = -np.inf
     for j in range(1, k):
-        q_small = vecs[:, :j]
-        resid = z.T - q_small @ (q_small.conj().T @ z.T)
-        inside = np.linalg.norm(resid, axis=0) <= 1e-8
+        inside = rows_in_span(vecs[:, :j], z, tol=EIGENSPACE_MEMBERSHIP_TOL)
         if not inside.any():
             continue
         members = tuple(int(i) for i in np.flatnonzero(inside))
@@ -181,13 +185,12 @@ def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
     k = nu.dim + 1
     z = nu.coeff_matrix()
     w = nu.weights
-    sv = np.linalg.svd(z, compute_uv=False)
     g0 = _start_element(nu, start)
     s = g0 if start is None else _det_normalize(g0.conj().T @ g0)
     q, r_mat, s_half, residual, energy = _tyler_state(z, w, s)
     trace = [(0, residual, energy)]
     verdict, certificate, it = VERDICT_MAX_ITERATIONS, None, 0
-    if z.shape[0] < k or sv[-1] <= 1e-10 * sv[0]:
+    if span_rank(z) < k:
         # atoms span a proper subspace: full mass on it, nothing to balance
         verdict, certificate = VERDICT_DIVERGED, _full_span_certificate(nu)
     elif residual <= tol:
@@ -220,10 +223,8 @@ def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
             verdict, certificate = VERDICT_DIVERGED, _divergence_certificate(nu, s)
         elif residual <= tol:
             verdict = VERDICT_CONVERGED
-        else:
-            vals = np.linalg.eigvalsh(s)
-            if vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT:
-                verdict, certificate = VERDICT_DIVERGED, _divergence_certificate(nu, s)
+        elif _diverging(s):
+            verdict, certificate = VERDICT_DIVERGED, _divergence_certificate(nu, s)
     return BalanceResult(
         g=GroupElement(s_half),
         residual=float(residual),
@@ -249,8 +250,7 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
     z = nu.coeff_matrix()
     w = nu.weights
     g = _start_element(nu, start)
-    sv = np.linalg.svd(z, compute_uv=False)
-    if z.shape[0] < k or sv[-1] <= 1e-10 * sv[0]:
+    if span_rank(z) < k:
         s_half = _herm_sqrt(_det_normalize(g.conj().T @ g))
         _, mom, residual, energy = _moved_state(z, w, s_half)
         return BalanceResult(
@@ -272,8 +272,7 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
             iterations = it
             break
         s_now = _det_normalize(g.conj().T @ g)
-        vals = np.linalg.eigvalsh(s_now)
-        if vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT:
+        if _diverging(s_now):
             s_half = _herm_sqrt(s_now)
             return BalanceResult(
                 g=GroupElement(s_half),
@@ -338,6 +337,7 @@ def balance(
     start : optional GroupElement used as the starting iterate.
     """
     check_max_iter(max_iter)
+    check_tol("tol", tol)
     if target_rho is not None:
         return solve_target(nu, target_rho, tol=tol, max_iter=max_iter, start=start)
     key = method.replace("_", "-").lower()
@@ -401,9 +401,8 @@ def solve_target(
     nu: AtomicMeasure,
     rho,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
+    max_iter: int = DEFAULT_NEWTON_MAX_ITER,
     start: GroupElement | None = None,
-    tol_eq: float = 1e-9,
 ) -> BalanceResult:
     """Solve F(g.nu) = rho - Id/(n+1) for an interior target state rho.
 
@@ -412,9 +411,10 @@ def solve_target(
     current configuration, with Armijo backtracking on the squared residual.
     """
     check_max_iter(max_iter)
+    check_tol("tol", tol)
     k = nu.dim + 1
     rho = _validate_target(rho, k)
-    verdict = classify(nu, tol_eq=tol_eq)
+    verdict = classify(nu)
     if verdict.kind is not StabilityKind.STABLE:
         raise NotStable(f"target solve needs a stable measure, got {verdict.kind.value}")
     beta = rho - np.eye(k) / k
@@ -440,7 +440,7 @@ def solve_target(
         rhs = np.array([np.trace((beta - mom) @ a).real for a in basis])
         try:
             cond = np.linalg.cond(gram)
-            if not np.isfinite(cond) or cond > 1e14:
+            if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
                 raise SingularGram(
                     f"Gram operator condition number {cond:.3e} is too large"
                 )
@@ -491,6 +491,32 @@ def _sum_zero_basis(k: int) -> np.ndarray:
     return qmat[:, 1:k]
 
 
+def _torus_lp(w, support, p_target):
+    """The interiority LP: (c, A_ub, b_ub, A_eq, b_eq, bounds) for linprog.
+
+    One variable q_ij per support entry, in row-major order, then delta:
+    maximize delta subject to q_ij >= delta, each atom's q_i. summing to 1
+    and the w-weighted q_.j matching the target on every covered coordinate.
+    """
+    m = support.shape[0]
+    atom, coord = np.nonzero(support)
+    nvar = atom.size
+    var = np.arange(nvar)
+    c = np.zeros(nvar + 1)
+    c[-1] = -1.0  # maximize delta
+    covered = support.any(axis=0)
+    per_atom = np.zeros((m, nvar + 1))
+    per_atom[atom, var] = 1.0
+    per_coord = np.zeros((int(covered.sum()), nvar + 1))
+    per_coord[np.cumsum(covered)[coord] - 1, var] = w[atom]
+    a_eq = np.vstack([per_atom, per_coord])
+    b_eq = np.concatenate([np.ones(m), p_target[covered]])
+    a_ub = np.zeros((nvar, nvar + 1))
+    a_ub[var, var] = -1.0
+    a_ub[:, -1] = 1.0
+    return c, a_ub, np.zeros(nvar), a_eq, b_eq, [(0.0, 1.0)] * (nvar + 1)
+
+
 def _check_torus_target(w, support, p_target):
     """Strict-interior membership of the target in the reachable polytope.
 
@@ -499,51 +525,15 @@ def _check_torus_target(w, support, p_target):
     certified by an LP maximizing the floor delta of all support
     coordinates q_ij >= delta.
     """
-    m, k = support.shape
     covered = support.any(axis=0)
-    for j in range(k):
+    for j in range(support.shape[1]):
         if not covered[j] and abs(p_target[j]) > 1e-12:
             raise TargetOutsidePolytope(
                 f"coordinate {j} is unreachable (no atom touches it)"
             )
-    var_index = {}
-    for i in range(m):
-        for j in range(k):
-            if support[i, j]:
-                var_index[(i, j)] = len(var_index)
-    nvar = len(var_index)
-    c = np.zeros(nvar + 1)
-    c[-1] = -1.0  # maximize delta
-    a_eq = []
-    b_eq = []
-    for i in range(m):
-        row = np.zeros(nvar + 1)
-        for j in range(k):
-            if support[i, j]:
-                row[var_index[(i, j)]] = 1.0
-        a_eq.append(row)
-        b_eq.append(1.0)
-    for j in range(k):
-        if not covered[j]:
-            continue
-        row = np.zeros(nvar + 1)
-        for i in range(m):
-            if support[i, j]:
-                row[var_index[(i, j)]] = w[i]
-        a_eq.append(row)
-        b_eq.append(p_target[j])
-    a_ub = np.zeros((nvar, nvar + 1))
-    for idx in range(nvar):
-        a_ub[idx, idx] = -1.0
-        a_ub[idx, -1] = 1.0
+    c, a_ub, b_ub, a_eq, b_eq, bounds = _torus_lp(w, support, p_target)
     res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(nvar),
-        A_eq=np.array(a_eq),
-        b_eq=np.array(b_eq),
-        bounds=[(0.0, 1.0)] * nvar + [(0.0, 1.0)],
-        method="highs",
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
     )
     if not res.success or -res.fun <= 1e-9:
         raise TargetOutsidePolytope(
@@ -555,7 +545,7 @@ def torus_solve(
     nu: AtomicMeasure,
     beta,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
+    max_iter: int = DEFAULT_NEWTON_MAX_ITER,
 ) -> TorusSolveResult:
     """Find theta (sum zero) with diag-momentum target beta.
 
@@ -566,6 +556,7 @@ def torus_solve(
     cap is hit, as happens for targets approaching the boundary.
     """
     check_max_iter(max_iter)
+    check_tol("tol", tol)
     k = nu.dim + 1
     beta = np.asarray(beta, dtype=float).reshape(-1)
     if beta.size != k:

@@ -19,6 +19,9 @@ import sys
 import numpy as np
 
 from .balancing import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_NEWTON_MAX_ITER,
+    DEFAULT_TOL,
     VERDICT_CONVERGED,
     VERDICT_DIVERGED,
     VERDICT_MAX_ITERATIONS,
@@ -41,6 +44,7 @@ from .sphere import (
     projective_point_to_sphere,
 )
 from .stability import (
+    DEFAULT_TOL_EQ,
     PolystableSplitting,
     StabilityKind,
     StabilityVerdict,
@@ -376,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="no tolerance snapping: only exact equality counts as boundary",
     )
     p_classify.add_argument(
-        "--tol-eq", type=float, default=1e-9, dest="tol_eq",
-        help="equality tolerance for the margin (default 1e-9)",
+        "--tol-eq", type=float, default=DEFAULT_TOL_EQ, dest="tol_eq",
+        help="equality tolerance for the margin (default %(default)s)",
     )
     p_classify.add_argument(
         "--decompose",
@@ -391,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_decompose.add_argument("measure", help="measure JSON file")
     p_decompose.add_argument("--strict", action="store_true")
-    p_decompose.add_argument("--tol-eq", type=float, default=1e-9, dest="tol_eq")
+    p_decompose.add_argument("--tol-eq", type=float, default=DEFAULT_TOL_EQ, dest="tol_eq")
     p_decompose.set_defaults(func=cmd_classify, decompose=True, strict=False)
 
     p_weight = sub.add_parser(
@@ -424,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["fixed-point", "geodesic-descent"],
         default="fixed-point",
     )
-    p_balance.add_argument("--tol", type=float, default=1e-10)
-    p_balance.add_argument("--max-iter", type=int, default=2000, dest="max_iter")
+    p_balance.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_balance.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, dest="max_iter")
     p_balance.add_argument("--trace", help="write per-iteration CSV trace here")
     p_balance.set_defaults(func=cmd_balance)
 
@@ -436,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sphere.add_argument(
         "action", choices=["com", "balance"], help="report or Mobius-center"
     )
-    p_sphere.add_argument("--tol", type=float, default=1e-10)
-    p_sphere.add_argument("--max-iter", type=int, default=2000, dest="max_iter")
+    p_sphere.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_sphere.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, dest="max_iter")
     p_sphere.set_defaults(func=cmd_sphere)
 
     p_torus = sub.add_parser(
@@ -452,8 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
             "when the first component is negative"
         ),
     )
-    p_torus.add_argument("--tol", type=float, default=1e-10)
-    p_torus.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    p_torus.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_torus.add_argument(
+        "--max-iter", type=int, default=DEFAULT_NEWTON_MAX_ITER, dest="max_iter"
+    )
     p_torus.set_defaults(func=cmd_torus)
 
     return parser

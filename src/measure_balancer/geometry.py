@@ -22,16 +22,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalDegeneracy, ZeroDirection
+from .errors import EmptySpan, InvalidInput, NumericalDegeneracy, ZeroDirection
 
-# Tolerance knobs (absolute unless noted). Overridable per call where they
-# appear as keyword arguments.
+# Tolerances (absolute unless noted): constants, not per-call options.
 PHASE_PIVOT_TOL = 1e-12  # |z_i| above this counts as the phase pivot
 NORM_SKIP_TOL = 1e-14  # skip renormalization when already unit to this
 HERMITIAN_TOL = 1e-12  # ||a - a*||_F allowed when validating directions
-DEFAULT_CLUSTER_TOL = 1e-10  # relative eigenvalue gap that separates clusters
-DEFAULT_COMPONENT_TOL = 1e-12  # spectral component norm that counts as present
+CLUSTER_TOL = 1e-10  # relative eigenvalue gap that separates clusters
+COMPONENT_TOL = 1e-12  # spectral component norm that counts as present
 MIN_VECTOR_NORM = 1e-150  # below this a vector is treated as numerically zero
+# The rank policy: every span, rank and membership decision of the classifier
+# and the balancers goes through span_basis, span_rank and rows_in_span below.
+RANK_TOL = 1e-10  # singular values s > RANK_TOL * s[0] count toward a rank
+MEMBERSHIP_TOL = 1e-10  # residual norm below which a unit row lies in a span
+# Eigenvectors of an iterate S are approximate, while an atom span is exact
+# up to rounding, so atoms are matched to eigenspaces of S more loosely.
+EIGENSPACE_MEMBERSHIP_TOL = 1e-8
 
 
 def canonical_rows(rows) -> np.ndarray:
@@ -236,12 +242,10 @@ class SpectralDirection:
         )
 
 
-def spectral_decompose(
-    a, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> SpectralDirection:
+def spectral_decompose(a) -> SpectralDirection:
     """Validate a direction matrix and split its spectrum into clusters.
 
-    Eigenvalues whose gap is at most cluster_tol * ||a||_F are merged into a
+    Eigenvalues whose gap is at most CLUSTER_TOL * ||a||_F are merged into a
     single cluster (the cluster eigenvalue is their mean).
     """
     a = np.asarray(a, dtype=complex)
@@ -262,7 +266,7 @@ def spectral_decompose(
     if tr != 0.0:
         a = a - np.eye(k) * (tr / k)
     vals, vecs = np.linalg.eigh(a)
-    gap = cluster_tol * scale
+    gap = CLUSTER_TOL * scale
     clusters: list[list[int]] = [[0]]
     for i in range(1, k):
         if vals[i] - vals[i - 1] <= gap:
@@ -300,21 +304,17 @@ def direction_from_projectors(
     )
 
 
-def flow_limit(
-    p: ProjectivePoint,
-    d: SpectralDirection,
-    component_tol: float = DEFAULT_COMPONENT_TOL,
-) -> tuple[int, ProjectivePoint]:
+def flow_limit(p: ProjectivePoint, d: SpectralDirection) -> tuple[int, ProjectivePoint]:
     """Limit of [exp(tA) z] as t -> +infinity.
 
     Returns (stratum index, limit point): the index of the highest eigenvalue
-    cluster on which z has a component of norm above component_tol, and the
+    cluster on which z has a component of norm above COMPONENT_TOL, and the
     normalized projection of z onto that eigenspace.
     """
     comps = [float(np.linalg.norm(proj @ p.coeffs)) for proj in d.projectors]
     idx = -1
     for i, c in enumerate(comps):
-        if c > component_tol:
+        if c > COMPONENT_TOL:
             idx = i
     if idx < 0:
         raise NumericalDegeneracy("point has no spectral component above tolerance")
@@ -393,12 +393,39 @@ def random_direction_matrices(count: int, size: int, seed: int = 0) -> np.ndarra
     return out
 
 
-def random_directions(
-    count: int,
-    n: int,
-    seed: int = 0,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> list[SpectralDirection]:
+def random_directions(count: int, n: int, seed: int = 0) -> list[SpectralDirection]:
     """Seeded random directions on CP^n, decomposed and ready to use."""
     mats = random_direction_matrices(count, n + 1, seed=seed)
-    return [spectral_decompose(a, cluster_tol=cluster_tol) for a in mats]
+    return [spectral_decompose(a) for a in mats]
+
+
+def _rank(s: np.ndarray) -> int:
+    """The one cutoff rule: singular values above RANK_TOL times the largest."""
+    return int(np.sum(s > RANK_TOL * s[0]))
+
+
+def span_basis(points) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of points or coefficient rows."""
+    if len(points) == 0:
+        raise EmptySpan("no points were given")
+    if not isinstance(points, np.ndarray):
+        rows = [p.coeffs for p in points]
+        if len({r.size for r in rows}) > 1:
+            raise InvalidInput("points do not all live in the same CP^n")
+        points = np.array(rows)
+    u, s, _ = np.linalg.svd(points.T, full_matrices=False)
+    rank = _rank(s)
+    if rank == 0:
+        raise EmptySpan("points span a numerically zero subspace")
+    return u[:, :rank]
+
+
+def span_rank(rows: np.ndarray) -> int:
+    """Numerical rank of a 2-d array (its rows and its columns alike); no U."""
+    return _rank(np.linalg.svd(rows, compute_uv=False))
+
+
+def rows_in_span(q: np.ndarray, z: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Mask of the unit rows of z within tol of the span of q's orthonormal columns."""
+    residual = z.T - q @ (q.conj().T @ z.T)
+    return np.linalg.norm(residual, axis=0) <= tol

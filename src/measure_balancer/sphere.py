@@ -21,17 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balancing import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     VERDICT_CONVERGED,
     VERDICT_DIVERGED,
     BalanceResult,
     balance,
-    check_max_iter,
 )
 from .errors import InvalidInput
 from .geometry import GroupElement, ProjectivePoint
 from .measures import AtomicMeasure, momentum, pushforward
 from .stability import StabilityKind, classify
-from .util import canonical_json
+from .util import canonical_json, check_max_iter, check_tol
 
 POINT_NORM_TOL = 1e-6  # sphere points may drift this far from unit norm
 
@@ -166,8 +167,8 @@ def center_of_mass(sm: SphereMeasure) -> np.ndarray:
 
 def hersch_balance(
     sm: SphereMeasure,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[GroupElement, BalanceResult, np.ndarray]:
     """Mobius-center a spherical measure: drive its center of mass to 0.
 
@@ -178,6 +179,7 @@ def hersch_balance(
     transformation (as an element of SL(2, C)).
     """
     check_max_iter(max_iter)
+    check_tol("tol", tol)
     nu = to_projective(sm)
     verdict = classify(nu, cap=max(16, nu.atom_count))
     if verdict.kind is StabilityKind.UNSTABLE:

@@ -42,12 +42,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidInput, NotSemistable, TooManyAtoms
-from .geometry import ProjectivePoint
+from .geometry import ProjectivePoint, rows_in_span, span_basis, span_rank
 from .measures import AtomicMeasure
+from .util import check_tol
 
 DEFAULT_TOL_EQ = 1e-9  # margin within this of 0 counts as boundary equality
 DEFAULT_ENUMERATION_CAP = 16  # max atom count for subspace enumeration
-MEMBERSHIP_TOL = 1e-10  # residual below which an atom lies in a span
 
 
 class StabilityKind(enum.Enum):
@@ -76,11 +76,6 @@ class Subspace:
     def spanning_points(self) -> list:
         """The basis columns as projective points (they span the subspace)."""
         return [ProjectivePoint(self.basis[:, j]) for j in range(self.linear_dim)]
-
-    def contains(self, p: ProjectivePoint, tol: float = MEMBERSHIP_TOL) -> bool:
-        z = p.coeffs
-        residual = z - self.basis @ (self.basis.conj().T @ z)
-        return float(np.linalg.norm(residual)) <= tol
 
 
 @dataclass(eq=False)
@@ -139,11 +134,7 @@ class _NotPolystableType:
 NotPolystable = _NotPolystableType()
 
 
-def candidate_subspaces(
-    nu: AtomicMeasure,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    membership_tol: float = MEMBERSHIP_TOL,
-) -> list:
+def candidate_subspaces(nu: AtomicMeasure, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     """All distinct spans of atom subsets that are proper subspaces.
 
     Subsets of size 1..n suffice: any span has a basis of atoms.  Spans are
@@ -164,15 +155,8 @@ def candidate_subspaces(
     out: list[Subspace] = []
     for k in range(1, min(n, m) + 1):
         for subset in combinations(range(m), k):
-            cols = z[list(subset)].T
-            u, s, _ = np.linalg.svd(cols, full_matrices=False)
-            rank = int(np.sum(s > 1e-10 * s[0]))
-            if rank > n:  # not a proper subspace
-                continue
-            q = u[:, :rank]
-            residual = z.T - q @ (q.conj().T @ z.T)
-            inside = np.linalg.norm(residual, axis=0) <= membership_tol
-            key = tuple(np.flatnonzero(inside))
+            q = span_basis(z[list(subset)])  # rank <= k <= n: always proper
+            key = tuple(np.flatnonzero(rows_in_span(q, z)))
             if key in seen:
                 continue
             seen.add(key)
@@ -205,6 +189,7 @@ def classify(
     tight flats among the same candidates.  The certificate is the minimizing
     subspace whenever the verdict is not Stable.
     """
+    check_tol("tol_eq", tol_eq)
     cands = candidate_subspaces(nu, cap=cap)
     margin, worst = _margin_and_worst(nu, cands)
     if margin > tol_eq:
@@ -243,15 +228,9 @@ def _tight_flat_splitting(
         return NotPolystable
     z = nu.coeff_matrix()
     w = nu.weights
-    bases = []
-    for c in minimal:
-        u, s, _ = np.linalg.svd(z[list(c.atom_indices)].T, full_matrices=False)
-        bases.append(u[:, : int(np.sum(s > 1e-10 * s[0]))])
+    bases = [span_basis(z[list(c.atom_indices)]) for c in minimal]
     stacked = np.hstack(bases)
-    if stacked.shape[1] != k:
-        return NotPolystable
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:  # spans are not jointly independent
+    if stacked.shape[1] != k or span_rank(stacked) < k:  # not independent
         return NotPolystable
     blocks = []
     for c, q in zip(minimal, bases):

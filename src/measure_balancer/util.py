@@ -1,4 +1,5 @@
-"""Small shared helpers: canonical JSON emission and complex (de)serialization.
+"""Small shared helpers: argument checks, canonical JSON emission and complex
+(de)serialization.
 
 All structured output uses 17-significant-digit floats and a stable key
 order so that serialization is deterministic and parse -> serialize is
@@ -12,6 +13,18 @@ import math
 import numpy as np
 
 from .errors import InvalidInput
+
+
+def check_max_iter(max_iter: int) -> None:
+    """Reject a negative iteration cap (0 means: evaluate the start only)."""
+    if max_iter < 0:
+        raise InvalidInput(f"iteration cap must be >= 0, got {max_iter}")
+
+
+def check_tol(name: str, value: float) -> None:
+    """Reject a tolerance that is negative, infinite or NaN (0 is exact)."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidInput(f"{name} must be finite and >= 0, got {value}")
 
 
 def fmt_float(x) -> str:

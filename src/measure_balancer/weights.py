@@ -21,16 +21,15 @@ import numpy as np
 
 from .errors import EmptySpan, InvalidInput, SpanIsFull
 from .geometry import (
-    DEFAULT_COMPONENT_TOL,
+    COMPONENT_TOL,
     ProjectivePoint,
     SpectralDirection,
     direction_from_projectors,
     flow_point,
     mu_component,
+    span_basis,
 )
 from .measures import AtomicMeasure
-
-RANK_TOL = 1e-10  # relative singular value cutoff for span ranks
 
 
 @dataclass(eq=False)
@@ -51,15 +50,11 @@ class WeightReport:
         return [(float(c), float(m)) for c, m in zip(self.eigenvalues, self.masses)]
 
 
-def unstable_partition(
-    nu: AtomicMeasure,
-    d: SpectralDirection,
-    component_tol: float = DEFAULT_COMPONENT_TOL,
-) -> WeightReport:
+def unstable_partition(nu: AtomicMeasure, d: SpectralDirection) -> WeightReport:
     """Mass of nu landing on each eigenvalue cluster under the flow of A.
 
     Atom i belongs to the stratum of the highest cluster on which its
-    representative has a spectral component of norm above component_tol.
+    representative has a spectral component of norm above COMPONENT_TOL.
     """
     if d.size != nu.dim + 1:
         raise InvalidInput("direction size does not match the measure")
@@ -67,20 +62,16 @@ def unstable_partition(
     comps = np.empty((d.levels, nu.atom_count))
     for i, proj in enumerate(d.projectors):
         comps[i] = np.linalg.norm(z @ proj.T, axis=1)
-    flags = comps > component_tol
+    flags = comps > COMPONENT_TOL
     # highest present cluster per atom: first True in the reversed scan
     strata = d.levels - 1 - np.argmax(flags[::-1], axis=0)
     masses = np.bincount(strata, weights=nu.weights, minlength=d.levels)
     return WeightReport(direction=d, masses=masses)
 
 
-def maximal_weight(
-    nu: AtomicMeasure,
-    d: SpectralDirection,
-    component_tol: float = DEFAULT_COMPONENT_TOL,
-) -> WeightReport:
+def maximal_weight(nu: AtomicMeasure, d: SpectralDirection) -> WeightReport:
     """Stratum masses together with lambda = sum_i c_i * mass_i."""
-    report = unstable_partition(nu, d, component_tol=component_tol)
+    report = unstable_partition(nu, d)
     report.lam = float(report.eigenvalues @ report.masses)
     return report
 
@@ -97,19 +88,6 @@ def lambda_via_flow(nu: AtomicMeasure, d: SpectralDirection, t_max: float = 40.0
     for p, w in nu.atoms:
         total += float(w) * mu_component(flow_point(p, d, t_max), d)
     return total
-
-
-def span_basis(points, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of points or coefficient rows."""
-    if len(points) == 0:
-        raise EmptySpan("no points were given")
-    rows = points if isinstance(points, np.ndarray) else [p.coeffs for p in points]
-    cols = np.array(rows).T  # (n+1, k)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
-    if rank == 0:
-        raise EmptySpan("points span a numerically zero subspace")
-    return u[:, :rank]
 
 
 def destabilizing_direction(points: list, n: int | None = None) -> SpectralDirection:

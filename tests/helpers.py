@@ -271,6 +271,47 @@ def bisection_torus_n1(nu: AtomicMeasure, p0_target: float, tol: float = 1e-13) 
     return 0.5 * (lo + hi)
 
 
+def reference_torus_lp(w, support, p_target):
+    """The torus interiority LP as the loop builder produced it (the reference).
+
+    Returns (c, A_ub, b_ub, A_eq, b_eq, bounds) for scipy's linprog.
+    """
+    m, k = support.shape
+    covered = support.any(axis=0)
+    var_index = {}
+    for i in range(m):
+        for j in range(k):
+            if support[i, j]:
+                var_index[(i, j)] = len(var_index)
+    nvar = len(var_index)
+    c = np.zeros(nvar + 1)
+    c[-1] = -1.0  # maximize delta
+    a_eq = []
+    b_eq = []
+    for i in range(m):
+        row = np.zeros(nvar + 1)
+        for j in range(k):
+            if support[i, j]:
+                row[var_index[(i, j)]] = 1.0
+        a_eq.append(row)
+        b_eq.append(1.0)
+    for j in range(k):
+        if not covered[j]:
+            continue
+        row = np.zeros(nvar + 1)
+        for i in range(m):
+            if support[i, j]:
+                row[var_index[(i, j)]] = w[i]
+        a_eq.append(row)
+        b_eq.append(p_target[j])
+    a_ub = np.zeros((nvar, nvar + 1))
+    for idx in range(nvar):
+        a_ub[idx, idx] = -1.0
+        a_ub[idx, -1] = 1.0
+    bounds = [(0.0, 1.0)] * nvar + [(0.0, 1.0)]
+    return c, a_ub, np.zeros(nvar), np.array(a_eq), np.array(b_eq), bounds
+
+
 def in_hull(x: np.ndarray, points: np.ndarray, tol: float = 1e-9) -> bool:
     """LP oracle: is x a convex combination of the given points?"""
     count = points.shape[0]

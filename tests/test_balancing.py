@@ -13,20 +13,27 @@ from measure_balancer import (
     NotPositiveTarget,
     NotStable,
     ProjectivePoint,
+    SphereMeasure,
     TargetOutsidePolytope,
     VERDICT_CONVERGED,
     VERDICT_DIVERGED,
     VERDICT_MAX_ITERATIONS,
     balance,
+    candidate_subspaces,
+    classify,
+    geometry,
     gram_operator,
+    hersch_balance,
     momentum,
     polytope_centroid_shift,
     pushforward,
     solve_target,
+    span_basis,
     spectral_decompose,
     torus_solve,
     traceless_hermitian_basis,
 )
+from measure_balancer.balancing import _torus_lp
 
 from helpers import (
     bisection_torus_n1,
@@ -34,6 +41,8 @@ from helpers import (
     hermitian_exp,
     random_measure,
     random_traceless_hermitian,
+    random_vector,
+    reference_torus_lp,
     rng,
     stable_measure,
     torus_gradient,
@@ -354,6 +363,28 @@ def test_torus_max_iterations_carries_best_iterate():
     assert exc.value.residual is not None
 
 
+def test_torus_lp_matches_the_loop_builder():
+    r = rng(60)
+    uncovered_seen = 0
+    for trial in range(60):
+        m, k = int(r.integers(1, 7)), int(r.integers(2, 6))
+        allowed = np.ones(k, dtype=bool)
+        if trial % 3 == 0:
+            allowed[r.integers(k)] = False  # a coordinate no atom touches
+        support = (r.random((m, k)) < 0.4) & allowed
+        support[~support.any(axis=1), np.flatnonzero(allowed)[0]] = True
+        uncovered_seen += not support.any(axis=0).all()
+        w = r.random(m) + 0.1
+        w /= w.sum()
+        p_target = r.random(k)
+        got = _torus_lp(w, support, p_target)
+        want = reference_torus_lp(w, support, p_target)
+        for a, b in zip(got[:5], want[:5]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert got[5] == want[5]
+    assert uncovered_seen >= 20
+
+
 def test_torus_solve_is_deterministic():
     r = rng(59)
     nu = random_measure(r, 3, 7)
@@ -361,6 +392,90 @@ def test_torus_solve_is_deterministic():
     t1 = torus_solve(nu, b).theta
     t2 = torus_solve(nu, b).theta
     assert np.array_equal(t1, t2)
+
+
+# ---------------------------------------------------------------------------
+# one rank policy
+
+
+def near_hyperplane_measure():
+    """Atoms 0-2 lie within 1e-6 of a plane of C^4, all four within 1e-6 of a
+    hyperplane: full rank at the default cutoff, not at a cutoff of 1e-4."""
+    e = np.eye(4)
+    rows = [e[0], e[1], e[0] + e[1] + 1e-6 * (e[2] + e[3]), e[2] + 1e-6 * e[3]]
+    return AtomicMeasure(np.array(rows, dtype=complex), np.full(4, 0.25))
+
+
+def full_span_shortcut(result):
+    """The balancers' full-span shortcut: diverged before any step."""
+    return result.verdict == VERDICT_DIVERGED and result.iterations == 0
+
+
+def test_rank_policy_has_one_home(monkeypatch):
+    nu = near_hyperplane_measure()
+    z = nu.coeff_matrix()
+
+    def ranks_seen():
+        cands = {c.atom_indices: c.linear_dim for c in candidate_subspaces(nu)}
+        results = [
+            balance(nu, method=method, max_iter=5)
+            for method in ("fixed-point", "geodesic-descent")
+        ]
+        return (span_basis(z).shape[1], span_basis(z[:3]).shape[1], cands.get((0, 1, 2))), results
+
+    ranks, results = ranks_seen()
+    assert ranks == (4, 3, 3)
+    assert not any(full_span_shortcut(res) for res in results)
+    monkeypatch.setattr(geometry, "RANK_TOL", 1e-4)
+    ranks, results = ranks_seen()
+    assert ranks == (3, 2, None)  # atoms 0-2 no longer span a 3-dim candidate
+    for res in results:
+        assert full_span_shortcut(res)
+        cert = res.certificate
+        assert (cert.atom_indices, cert.mass, cert.linear_dim) == ((0, 1, 2, 3), 1.0, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("eps", [1e-13, 1e-6])
+def test_classifier_and_balancers_agree_on_the_rank_near_a_hyperplane(n, eps):
+    r = rng(70 + n)
+    m = n + 2
+    z = np.array([np.append(random_vector(r, n), eps * random_vector(r, 1)) for _ in range(m)])
+    nu = AtomicMeasure(z, np.full(m, 1 / m))
+    holds_all = [c.linear_dim for c in candidate_subspaces(nu) if len(c.atom_indices) == m]
+    assert bool(holds_all) == (eps == 1e-13)
+    if holds_all:
+        assert classify(nu).certificate.linear_dim == n
+    for method in ("fixed-point", "geodesic-descent"):
+        res = balance(nu, method=method, max_iter=3)
+        assert full_span_shortcut(res) == bool(holds_all)
+        if holds_all:
+            assert holds_all == [res.certificate.linear_dim] == [n]
+
+
+# ---------------------------------------------------------------------------
+# tolerance checks
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "solve",
+    ["classify", "balance", "balance target", "solve_target", "torus_solve", "hersch_balance"],
+)
+def test_tolerances_must_be_finite_and_nonnegative(solve, value):
+    nu = stable_measure(rng(62), 1)
+    sm = SphereMeasure([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]], [0.45, 0.3, 0.25])
+    rho = np.diag([0.6, 0.4])
+    call = {
+        "classify": lambda: classify(nu, tol_eq=value),
+        "balance": lambda: balance(nu, tol=value),
+        "balance target": lambda: balance(nu, target_rho=rho, tol=value),
+        "solve_target": lambda: solve_target(nu, rho, tol=value),
+        "torus_solve": lambda: torus_solve(nu, [0.1, -0.1], tol=value),
+        "hersch_balance": lambda: hersch_balance(sm, tol=value),
+    }[solve]
+    with pytest.raises(InvalidInput, match="must be finite and >= 0"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,33 @@ def test_iteration_cap_must_not_be_negative(tmp_path, stable_file, command, cap,
     assert ("iteration cap must be >= 0" in err) == (code == 2)
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("classify", "--tol-eq"), ("decompose", "--tol-eq"), ("balance", "--tol"),
+     ("torus", "--tol"), ("sphere balance", "--tol")],
+)
+def test_tolerances_must_be_finite_and_nonnegative(tmp_path, command, flag, value, capsys):
+    # Mass 0.6 on one point of CP^2: unstable, margin -0.267.  A tolerance of
+    # -1, nan or inf used to turn this into stable, semistable, polystable or
+    # a converged balance.
+    unstable = write_measure(
+        tmp_path, "u.json",
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.6, 0.2, 0.2],
+    )
+    sphere = write_sphere(tmp_path, "s.json", [[0, 0, 1.0], [1.0, 0, 0]], [0.6, 0.4])
+    argv = {
+        "classify": ["classify", unstable],
+        "decompose": ["decompose", unstable],
+        "balance": ["balance", unstable],
+        "torus": ["torus", unstable, "--beta=0.1,-0.05,-0.05"],
+        "sphere balance": ["sphere", sphere, "balance"],
+    }[command]
+    assert main(argv + [f"{flag}={value}"]) == 2
+    assert f"must be finite and >= 0, got {value}" in capsys.readouterr().err
+    assert main(argv + [f"{flag}=0"]) != 2  # 0 is exact comparison, still valid
+
+
 # ---------------------------------------------------------------------------
 # torus
 

@@ -132,6 +132,13 @@ def test_destabilizing_direction_rejects_dimension_mismatch():
         destabilizing_direction([np.array([1.0, 0.0])], n=2)
 
 
+def test_points_of_different_dimensions_are_an_input_error():
+    with pytest.raises(InvalidInput, match="same CP"):
+        destabilizing_direction([[1, 0], [1, 0, 0]])
+    with pytest.raises(InvalidInput, match="same CP"):
+        span_basis([ProjectivePoint([1.0, 0.0]), ProjectivePoint([1.0, 0.0, 0.0])])
+
+
 # ---------------------------------------------------------------------------
 # closed form
 
