@@ -30,6 +30,7 @@ del _os, _cap
 from .balancing import (  # noqa: E402
     VERDICT_CONVERGED,
     VERDICT_DIVERGED,
+    VERDICT_ILL_CONDITIONED,
     VERDICT_MAX_ITERATIONS,
     BalanceResult,
     TorusSolveResult,
@@ -142,6 +143,7 @@ __all__ = [
     "TorusSolveResult",
     "VERDICT_CONVERGED",
     "VERDICT_DIVERGED",
+    "VERDICT_ILL_CONDITIONED",
     "VERDICT_MAX_ITERATIONS",
     "WeightReport",
     "ZeroDirection",

@@ -11,8 +11,11 @@ iterated directly (the default), or the Kempf-Ness energy
 Psi(nu, g) = sum w_i log||g z_i|| is minimized by geodesic steepest descent
 g <- exp(-s F(g.nu)) g with Armijo backtracking.  A stable measure has a
 unique balanced S; an unstable or boundary-semistable one drives cond(S) to
-infinity, detected and certified by the subspace its small eigenvectors
-collapse onto.
+infinity, certified by the subspace its small eigenvectors collapse onto.
+The fixed point looks for that subspace at iterations 1, 2, 4, 8, ... and
+at its cap, and stops as soon as one carries strictly more than its share.
+When cond(S) passes COND_LIMIT with no subspace carrying its share, the
+verdict is ill-conditioned: the balanced S, if any, is beyond the limit.
 
 For an interior target state rho (positive definite, trace 1) the equation
 F(g.nu) = rho - Id/(n+1) is solved by Newton steps on the direction
@@ -44,7 +47,7 @@ from .geometry import (
     GroupElement,
     SpectralDirection,
     herm_exp,
-    rows_in_span,
+    rows_in_nested_spans,
     span_basis,
     span_rank,
     traceless_hermitian_basis,
@@ -56,12 +59,18 @@ from .util import check_max_iter, check_tol
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
 VERDICT_MAX_ITERATIONS = "max-iterations"
+VERDICT_ILL_CONDITIONED = "ill-conditioned"  # needs cond(S) beyond COND_LIMIT
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 DEFAULT_NEWTON_MAX_ITER = 200  # cap of the Newton solves (target, torus)
-COND_LIMIT = 1e12  # cond(S) beyond this certifies divergence
+COND_LIMIT = 1e12  # cond(S) beyond this stops a balance as degenerate
+# A span carrying mass - rank/(n+1) above this proves instability; within it
+# of zero the span is tight, which proves nothing (polystable input has such).
+CERT_EXCESS_TOL = 1e-9
 GRAM_COND_LIMIT = 1e14  # cond(Gram) beyond this stops a target solve
+TORUS_SUPPORT_TOL = 1e-12  # |z_ij| above this puts coordinate j in atom i's support
+TORUS_LP_FLOOR = 1e-9  # interiority LP floor delta at or below this: not interior
 MIN_DAMPING = 2.0**-10
 MIN_STEP = 2.0**-40
 ARMIJO_C = 1e-4
@@ -143,42 +152,55 @@ def _full_span_certificate(nu: AtomicMeasure) -> Subspace:
     )
 
 
-def _divergence_certificate(nu: AtomicMeasure, s: np.ndarray) -> Subspace:
-    """Subspace the diverging S collapses onto, with its mass violation.
+def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
+    """The atom span in the small-eigenvalue eigenspaces of S of largest excess.
 
-    Scans spans of the atoms lying in the small-eigenvalue eigenspaces of S
-    and returns the one with the largest mass excess; falls back to the
-    classifier's certificate when no scanned span shows one.
+    For each j the atoms within EIGENSPACE_MEMBERSHIP_TOL of the span of the
+    j smallest eigenvectors of S span a subspace; a proper one carries
+    excess = mass - rank/(n+1).  Returns (subspace, excess) for the largest
+    excess, or (None, -inf) when no eigenspace holds a proper atom span.
     """
-    k = nu.dim + 1
-    z = nu.coeff_matrix()
-    vals, vecs = np.linalg.eigh(s)
-    best = None
-    best_viol = -np.inf
-    for j in range(1, k):
-        inside = rows_in_span(vecs[:, :j], z, tol=EIGENSPACE_MEMBERSHIP_TOL)
-        if not inside.any():
+    k = z.shape[1]
+    _, vecs = np.linalg.eigh(s)
+    masks = rows_in_nested_spans(vecs, z, tol=EIGENSPACE_MEMBERSHIP_TOL)
+    best, best_excess, last = None, -np.inf, None
+    for inside in masks.T:  # nested masks: an unchanged one gives the same span
+        if not inside.any() or (last is not None and np.array_equal(inside, last)):
             continue
-        members = tuple(int(i) for i in np.flatnonzero(inside))
-        q_span = span_basis(z[list(members)])
+        last = inside
+        members = np.flatnonzero(inside)
+        q_span = span_basis(z[members])
         if q_span.shape[1] >= k:
             continue
-        mass = float(nu.weights[list(members)].sum())
-        viol = mass - q_span.shape[1] / k
-        if viol > best_viol:
-            best_viol = viol
-            best = Subspace(basis=q_span, atom_indices=members, mass=mass)
-    if best is not None and best_viol >= -1e-9:
-        return best
+        mass = float(w[members].sum())
+        excess = mass - q_span.shape[1] / k
+        if excess > best_excess:
+            best_excess = excess
+            best = Subspace(
+                basis=q_span, atom_indices=tuple(int(i) for i in members), mass=mass
+            )
+    return best, best_excess
+
+
+def _degenerate_stop(nu: AtomicMeasure, s: np.ndarray):
+    """(verdict, certificate) once S degenerates.
+
+    ``diverged`` with the scanned span of largest excess when it is at least
+    tight, else with the classifier's certificate; ``ill-conditioned`` with
+    no certificate when neither gives a proper subspace carrying its share,
+    since then S degenerated only because balancing needs cond(S) beyond
+    COND_LIMIT.
+    """
+    best, excess = _eigenspace_scan(nu.coeffs, nu.weights, s)
+    if best is not None and excess >= -CERT_EXCESS_TOL:
+        return VERDICT_DIVERGED, best
     try:
-        verdict = classify(nu)
-        if verdict.certificate is not None:
-            return verdict.certificate
+        certificate = classify(nu).certificate
     except TooManyAtoms:
-        pass
-    if best is None:  # no atoms in the collapsing eigenspace at all
-        best = _full_span_certificate(nu)
-    return best
+        certificate = None
+    if certificate is not None:
+        return VERDICT_DIVERGED, certificate
+    return VERDICT_ILL_CONDITIONED, None
 
 
 def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
@@ -220,11 +242,17 @@ def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
         trace.append((it, residual, energy))
         if not np.isfinite(residual):
             s_half = np.eye(k, dtype=complex)
-            verdict, certificate = VERDICT_DIVERGED, _divergence_certificate(nu, s)
+            verdict, certificate = _degenerate_stop(nu, s)
         elif residual <= tol:
             verdict = VERDICT_CONVERGED
         elif _diverging(s):
-            verdict, certificate = VERDICT_DIVERGED, _divergence_certificate(nu, s)
+            verdict, certificate = _degenerate_stop(nu, s)
+        elif it & (it - 1) == 0 or it == max_iter:
+            # Checkpoint: S collapses onto an over-massive span long before
+            # cond(S) reaches COND_LIMIT, and a strict excess proves it.
+            best, excess = _eigenspace_scan(z, w, s)
+            if excess > CERT_EXCESS_TOL:
+                verdict, certificate = VERDICT_DIVERGED, best
     return BalanceResult(
         g=GroupElement(s_half),
         residual=float(residual),
@@ -273,14 +301,14 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
             break
         s_now = _det_normalize(g.conj().T @ g)
         if _diverging(s_now):
-            s_half = _herm_sqrt(s_now)
+            verdict, certificate = _degenerate_stop(nu, s_now)
             return BalanceResult(
-                g=GroupElement(s_half),
+                g=GroupElement(_herm_sqrt(s_now)),
                 residual=residual,
                 iterations=it,
                 trace=trace,
-                verdict=VERDICT_DIVERGED,
-                certificate=_divergence_certificate(nu, s_now),
+                verdict=verdict,
+                certificate=certificate,
             )
         if it == max_iter:
             break
@@ -535,7 +563,7 @@ def _check_torus_target(w, support, p_target):
     res = linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
     )
-    if not res.success or -res.fun <= 1e-9:
+    if not res.success or -res.fun <= TORUS_LP_FLOOR:
         raise TargetOutsidePolytope(
             "target is outside (or on the boundary of) the reachable polytope"
         )
@@ -570,7 +598,7 @@ def torus_solve(
     z = nu.coeff_matrix()
     w = nu.weights
     sq = np.abs(z) ** 2  # (m, k)
-    support = np.abs(z) > 1e-12
+    support = np.abs(z) > TORUS_SUPPORT_TOL
     _check_torus_target(w, support, p_target)
     with np.errstate(divide="ignore"):
         log_sq = np.where(support, np.log(np.where(support, sq, 1.0)), -np.inf)
@@ -615,7 +643,12 @@ def torus_solve(
             theta_try = theta + step * step_dir
             theta_try = theta_try - theta_try.mean()
             out = state(theta_try)
-            if out[3] <= objective + ARMIJO_C * step * slope:
+            needed = -ARMIJO_C * step * slope
+            # As in _descent_balance: a decrease of order residual^2 falls
+            # below the objective's resolution, so accept a lower residual.
+            if out[3] <= objective - needed or (
+                needed <= 1e-14 * max(1.0, abs(objective)) and out[2] < residual
+            ):
                 accepted = True
                 break
             step /= 2.0
@@ -623,8 +656,9 @@ def torus_solve(
             break
         theta = theta_try
         p, resvec, residual, objective = out
+    why = "iteration cap" if it == max_iter else "flat step: no step made progress"
     raise MaxIterations(
-        f"torus solve residual {residual:.3e} after {max_iter} iterations",
+        f"torus solve residual {residual:.3e} at iteration {it} ({why})",
         theta=theta,
         residual=residual,
     )

@@ -3,7 +3,8 @@
 Subcommands: classify, weight, balance, sphere, torus, decompose.  Exit
 codes: 0 stable/converged, 10 polystable-not-stable, 11
 semistable-not-polystable, 12 unstable, 2 input error, 20 diverged,
-21 iteration cap hit, 22 torus target outside the reachable polytope.
+21 iteration cap hit, 22 torus target outside the reachable polytope, 23
+ill-conditioned (balancing needs cond(S) beyond COND_LIMIT).
 All structured output is deterministic (canonical JSON / CSV with
 17-significant-digit floats).
 """
@@ -19,11 +20,13 @@ import sys
 import numpy as np
 
 from .balancing import (
+    COND_LIMIT,
     DEFAULT_MAX_ITER,
     DEFAULT_NEWTON_MAX_ITER,
     DEFAULT_TOL,
     VERDICT_CONVERGED,
     VERDICT_DIVERGED,
+    VERDICT_ILL_CONDITIONED,
     VERDICT_MAX_ITERATIONS,
     BalanceResult,
     balance,
@@ -62,6 +65,7 @@ EXIT_UNSTABLE = 12
 EXIT_DIVERGED = 20
 EXIT_MAX_ITERATIONS = 21
 EXIT_OUTSIDE_POLYTOPE = 22
+EXIT_ILL_CONDITIONED = 23
 
 _KIND_EXIT = {
     StabilityKind.STABLE: EXIT_OK,
@@ -74,6 +78,7 @@ _VERDICT_EXIT = {
     VERDICT_CONVERGED: EXIT_OK,
     VERDICT_DIVERGED: EXIT_DIVERGED,
     VERDICT_MAX_ITERATIONS: EXIT_MAX_ITERATIONS,
+    VERDICT_ILL_CONDITIONED: EXIT_ILL_CONDITIONED,
 }
 
 
@@ -365,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Exit codes: 0 stable/converged, 10 polystable-not-stable, "
             "11 semistable-not-polystable, 12 unstable, 2 input error, "
-            "20 diverged, 21 iteration cap, 22 target outside polytope. "
+            "20 diverged, 21 iteration cap, 22 target outside polytope, "
+            f"23 ill-conditioned (balancing needs cond(S) beyond {COND_LIMIT:g}). "
             "Set MEASURE_BALANCER_THREADS to cap BLAS parallelism. Random "
             "directions use numpy's PCG64 generator."
         ),

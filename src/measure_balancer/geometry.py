@@ -32,7 +32,8 @@ CLUSTER_TOL = 1e-10  # relative eigenvalue gap that separates clusters
 COMPONENT_TOL = 1e-12  # spectral component norm that counts as present
 MIN_VECTOR_NORM = 1e-150  # below this a vector is treated as numerically zero
 # The rank policy: every span, rank and membership decision of the classifier
-# and the balancers goes through span_basis, span_rank and rows_in_span below.
+# and the balancers goes through span_basis, span_rank, rows_in_span and
+# rows_in_nested_spans below.
 RANK_TOL = 1e-10  # singular values s > RANK_TOL * s[0] count toward a rank
 MEMBERSHIP_TOL = 1e-10  # residual norm below which a unit row lies in a span
 # Eigenvectors of an iterate S are approximate, while an atom span is exact
@@ -429,3 +430,22 @@ def rows_in_span(q: np.ndarray, z: np.ndarray, tol: float = MEMBERSHIP_TOL) -> n
     """Mask of the unit rows of z within tol of the span of q's orthonormal columns."""
     residual = z.T - q @ (q.conj().T @ z.T)
     return np.linalg.norm(residual, axis=0) <= tol
+
+
+def rows_in_nested_spans(v: np.ndarray, z: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Masks of the unit rows of z within tol of span(v_0 .. v_(j-1)), j = 1 .. k-1.
+
+    v is a (k, k) unitary; column j-1 of the (m, k-1) result is the mask for
+    the first j columns of v.  One projection C = |z v-bar|^2, then reverse
+    cumulative sums: the distance to the j-span is sqrt(sum_(l >= j) C_il),
+    a sum of nonnegative terms, so it does not cancel the way z - P z does.
+    Only rows within tol of the largest span, |<v_(k-1), z_i>| <= tol, can
+    be in any, so only they are projected.
+    """
+    masks = np.zeros((z.shape[0], v.shape[1] - 1), dtype=bool)
+    near = np.flatnonzero(np.abs(z @ v[:, -1].conj()) <= tol)
+    if near.size:
+        c = np.abs(z[near] @ v.conj()) ** 2
+        tail = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
+        masks[near] = np.sqrt(tail[:, 1:]) <= tol
+    return masks

@@ -240,8 +240,30 @@ def semistable_measure(r: np.random.Generator, n: int) -> AtomicMeasure:
     raise AssertionError("could not draw a semistable-not-polystable measure")
 
 
+def near_hyperplane_cloud(r: np.random.Generator, n: int, eps: float) -> AtomicMeasure:
+    """n+2 equal atoms within about eps of the hyperplane z_n = 0 of C^(n+1).
+
+    At eps of 1e-9 and above they span C^(n+1) at the package's rank cutoff,
+    and the measure is stable; balancing it needs cond(S) of order eps^-2.
+    """
+    m = n + 2
+    z = np.array([np.append(random_vector(r, n), eps * random_vector(r, 1)) for _ in range(m)])
+    return AtomicMeasure(z, np.full(m, 1 / m))
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def certified_excess(nu: AtomicMeasure, atom_indices) -> float:
+    """mass - rank/(n+1) of the atoms a certificate names, from the atoms alone.
+
+    The rank comes from numpy's own matrix_rank and the mass from the
+    weights, so a certificate's stated basis, dimension and mass are not used.
+    """
+    idx = list(atom_indices)
+    rank = np.linalg.matrix_rank(nu.coeff_matrix()[idx])
+    return float(nu.weights[idx].sum()) - rank / (nu.dim + 1)
 
 
 def torus_gradient(nu: AtomicMeasure, theta: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measure_balancer import (
     AtomicMeasure,
@@ -17,7 +19,9 @@ from measure_balancer import (
     TargetOutsidePolytope,
     VERDICT_CONVERGED,
     VERDICT_DIVERGED,
+    VERDICT_ILL_CONDITIONED,
     VERDICT_MAX_ITERATIONS,
+    StabilityKind,
     balance,
     candidate_subspaces,
     classify,
@@ -33,15 +37,18 @@ from measure_balancer import (
     torus_solve,
     traceless_hermitian_basis,
 )
-from measure_balancer.balancing import _torus_lp
+from measure_balancer import balancing
+from measure_balancer.balancing import DEFAULT_MAX_ITER, _torus_lp
 
 from helpers import (
     bisection_torus_n1,
+    certified_excess,
     direct_momentum_residual,
     hermitian_exp,
+    near_hyperplane_cloud,
+    polystable_measure,
     random_measure,
     random_traceless_hermitian,
-    random_vector,
     reference_torus_lp,
     rng,
     stable_measure,
@@ -363,6 +370,16 @@ def test_torus_max_iterations_carries_best_iterate():
     assert exc.value.residual is not None
 
 
+def test_torus_stop_message_names_the_iteration_and_the_cause(monkeypatch):
+    nu = measure_on([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1 / 3] * 3)
+    beta = np.array([2 / 3 - 1e-6, 1 / 3 + 1e-6]) - 0.5
+    with pytest.raises(MaxIterations, match=r"at iteration 2 \(iteration cap\)"):
+        torus_solve(nu, beta, max_iter=2)
+    monkeypatch.setattr(balancing, "MIN_STEP", 2.0)  # no trial step is ever taken
+    with pytest.raises(MaxIterations, match=r"at iteration 0 \(flat step"):
+        torus_solve(nu, beta)
+
+
 def test_torus_lp_matches_the_loop_builder():
     r = rng(60)
     uncovered_seen = 0
@@ -438,10 +455,8 @@ def test_rank_policy_has_one_home(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("eps", [1e-13, 1e-6])
 def test_classifier_and_balancers_agree_on_the_rank_near_a_hyperplane(n, eps):
-    r = rng(70 + n)
-    m = n + 2
-    z = np.array([np.append(random_vector(r, n), eps * random_vector(r, 1)) for _ in range(m)])
-    nu = AtomicMeasure(z, np.full(m, 1 / m))
+    nu = near_hyperplane_cloud(rng(70 + n), n, eps)
+    m = nu.atom_count
     holds_all = [c.linear_dim for c in candidate_subspaces(nu) if len(c.atom_indices) == m]
     assert bool(holds_all) == (eps == 1e-13)
     if holds_all:
@@ -451,6 +466,72 @@ def test_classifier_and_balancers_agree_on_the_rank_near_a_hyperplane(n, eps):
         assert full_span_shortcut(res) == bool(holds_all)
         if holds_all:
             assert holds_all == [res.certificate.linear_dim] == [n]
+
+
+# ---------------------------------------------------------------------------
+# divergence certificates
+
+METHODS = ("fixed-point", "geodesic-descent")
+# n = 2 with seeds 0-39 and n = 1, 3, 4 with seeds 0-9
+PLANTED = [(2, s) for s in range(40)] + [(n, s) for n in (1, 3, 4) for s in range(10)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_planted_unstable_measures_are_certified_within_the_cap(method):
+    stops = []
+    for n, seed in PLANTED:
+        nu, *_ = unstable_measure(rng(seed), n)
+        res = balance(nu, method=method)
+        assert res.verdict == VERDICT_DIVERGED, (n, seed, res.verdict)
+        assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+        stops.append(res.iterations)
+    if method == "fixed-point":
+        # every stop is a checkpoint scan: iteration 2^j or the cap
+        assert all(it & (it - 1) == 0 or it == DEFAULT_MAX_ITER for it in stops)
+        assert np.median(stops) <= 64
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tight_subspaces_do_not_stop_the_fixed_point(n):
+    # Orthogonal blocks: the eigenvectors of S hold each block exactly, and a
+    # block carries exactly its share, which proves nothing; S converges.
+    for seed in range(4):
+        nu, _ = polystable_measure(rng(seed), n, move=False)
+        assert balance(nu).verdict == VERDICT_CONVERGED
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["stable", "planted-unstable", "near-hyperplane"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    method=st.sampled_from(METHODS),
+)
+def test_diverged_always_carries_a_violated_subspace(kind, seed, n, method):
+    r = rng(seed)
+    if kind == "stable":
+        nu = stable_measure(r, n, weights="dirichlet")
+    elif kind == "planted-unstable":
+        nu, *_ = unstable_measure(r, n, excess=float(r.uniform(0.01, 0.1)))
+    else:
+        nu = near_hyperplane_cloud(r, n, 10.0 ** r.uniform(-9, -6))
+    res = balance(nu, method=method)
+    if classify(nu).kind is StabilityKind.STABLE:
+        assert res.verdict != VERDICT_DIVERGED
+    if res.verdict == VERDICT_DIVERGED:
+        assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_stable_measure_near_a_hyperplane_is_ill_conditioned(method, eps):
+    # Stable, but the balancing S needs cond(S) beyond COND_LIMIT; no proper
+    # subspace carries its share, so there is nothing to certify.
+    nu = near_hyperplane_cloud(rng(72), 2, eps)
+    assert classify(nu).kind is StabilityKind.STABLE
+    res = balance(nu, method=method)
+    assert res.verdict == VERDICT_ILL_CONDITIONED
+    assert res.certificate is None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import measure_balancer
 from measure_balancer import AtomicMeasure, ProjectivePoint, SphereMeasure, stability
 from measure_balancer.cli import main
 
-from helpers import random_vector, rng, stable_measure
+from helpers import near_hyperplane_cloud, random_vector, rng, stable_measure, torus_gradient
 
 
 def write_measure(tmp_path, name, rows, weights):
@@ -277,6 +277,19 @@ def test_balance_semistable_exits_21(semistable_file, capsys):
     assert doc["verdict"] == "max-iterations"
 
 
+@pytest.mark.parametrize("method", ["fixed-point", "geodesic-descent"])
+def test_balance_near_a_hyperplane_exits_23_without_certificate(tmp_path, method, capsys):
+    # Stable (margin 1/12), but balancing needs cond(S) of order 1e12.
+    path = tmp_path / "near.json"
+    path.write_text(near_hyperplane_cloud(rng(72), 2, 1e-6).to_json(), encoding="utf-8")
+    assert main(["balance", str(path), "--method", method]) == 23
+    out = capsys.readouterr().out
+    assert "verdict: ill-conditioned" in out
+    doc = json_tail(out)
+    assert doc["verdict"] == "ill-conditioned"
+    assert doc["certificate"] is None
+
+
 def test_balance_trace_csv(tmp_path, stable_file, capsys):
     trace_path = tmp_path / "trace.csv"
     assert main(["balance", stable_file, "--trace", str(trace_path)]) == 0
@@ -415,6 +428,55 @@ def test_torus_solve_reports_theta(stable_file, capsys):
     assert doc["converged"] is True
     assert doc["residual"] <= 1e-10
     assert doc["theta"][0] + doc["theta"][1] == pytest.approx(0.0, abs=1e-12)
+
+
+# Two inputs on which the Newton solve used to stall a few iterations in, at
+# residual 4.5e-10 and 2.2e-10, once the objective's decrease fell below its
+# floating-point resolution: (atom rows as [re, im] pairs, weights, beta).
+STALLED_TORUS = [
+    (
+        [
+            [[0.8874268020834881, -0.048873006284681636], [0.26440407491364926, 0.3744003009742762]],
+            [[-0.8482119679808129, 0.2333893659437605], [0.3988470177583048, 0.25881831014013046]],
+            [[-0.5927278408251124, -0.29698418294343176], [-0.7460045710714508, -0.0628592215408625]],
+            [[0.7383649722383685, -0.3658818093762742], [-0.26593542493848327, 0.5002259680402102]],
+        ],
+        [0.38500880396828047, 0.21276087070589383, 0.13437536611602424, 0.26785495920980135],
+        "0.11020491095452845,-0.11020491095452845",
+    ),
+    (
+        [
+            [[0.27053831712928184, 0.06638782141057555], [-0.6950350519875559, -0.05334463062284567],
+             [0.051594512405897644, -0.6586503695551827]],
+            [[-0.4221601717169084, 0.3207830260119678], [0.5158894347658468, 0.20489553206520275],
+             [-0.6323955556066349, -0.10407119161527632]],
+            [[-0.42774325823907794, 0.5548195133116804], [-0.038172466812611085, -0.4839885861105563],
+             [-0.42794522460448886, 0.30061904249392757]],
+            [[0.3044297598941069, 0.32236330540216523], [-0.12006369707769508, -0.62600297009071],
+             [-0.4333317838485068, -0.45752920760244686]],
+            [[-0.4821265007600449, -0.07066665442954448], [-0.20433781822170782, 0.11564420155570265],
+             [0.5901655629992987, -0.5992806889574092]],
+            [[-0.1688062097685843, 0.51870064463382], [0.38746943679388895, 0.4143946405046418],
+             [0.5515600625315527, 0.27636953466666553]],
+        ],
+        [0.1879303613730496, 0.2016896313886439, 0.13275533903287154, 0.3408720220314982,
+         0.05300747679004229, 0.08374516938389445],
+        "-0.09942106062560918,-0.07126360940165882,0.170684670027268",
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, weights, beta", STALLED_TORUS)
+def test_torus_solve_does_not_stall_near_the_optimum(tmp_path, rows, weights, beta, capsys):
+    atoms = [{"z": z, "w": w} for z, w in zip(rows, weights)]
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"n": len(rows[0]) - 1, "atoms": atoms}), encoding="utf-8")
+    assert main(["torus", str(path), f"--beta={beta}"]) == 0
+    doc = json_tail(capsys.readouterr().out)
+    assert doc["converged"] is True
+    nu = AtomicMeasure.from_json(path.read_text(encoding="utf-8"))
+    p_target = np.array([float(b) for b in beta.split(",")]) + 1.0 / len(rows[0])
+    assert np.linalg.norm(torus_gradient(nu, doc["theta"]) - p_target) <= 1e-10
 
 
 def test_torus_outside_polytope_exits_22(tmp_path, capsys):

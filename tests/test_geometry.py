@@ -22,6 +22,7 @@ from measure_balancer import (
     spectral_decompose,
     traceless_hermitian_basis,
 )
+from measure_balancer.geometry import rows_in_nested_spans, rows_in_span
 
 from helpers import hermitian_exp, random_point, random_unitary, rng
 
@@ -288,3 +289,24 @@ def test_unitary_conjugation_preserves_spectrum():
     d = random_directions(1, 2, seed=41)[0]
     d2 = spectral_decompose(u @ d.a @ u.conj().T)
     assert np.allclose(d2.eigenvalues, d.eigenvalues, atol=1e-10)
+
+
+def test_nested_span_masks_match_one_membership_test_per_span():
+    # Rows lie in span(v_0 .. v_(j-1)) for a drawn j, then move off it by
+    # 0 or 1e-6, far on either side of tol = 1e-8; rows_in_span, one span at
+    # a time, is the reference.
+    r = rng(9)
+    for k in (2, 3, 5, 8):
+        v = random_unitary(r, k)
+        rows = []
+        for _ in range(40):
+            j = int(r.integers(1, k + 1))
+            z = v[:, :j] @ (r.normal(size=j) + 1j * r.normal(size=j))
+            if j < k and r.random() < 0.5:
+                z = z / np.linalg.norm(z) + 1e-6 * v[:, j:] @ r.normal(size=k - j)
+            rows.append(z / np.linalg.norm(z))
+        z = np.array(rows)
+        want = np.column_stack([rows_in_span(v[:, :j], z, tol=1e-8) for j in range(1, k)])
+        got = rows_in_nested_spans(v, z, tol=1e-8)
+        assert got.shape == (40, k - 1) and np.array_equal(got, want)
+        assert want.any() and not want.all()
