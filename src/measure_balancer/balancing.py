@@ -74,6 +74,7 @@ TORUS_LP_FLOOR = 1e-9  # interiority LP floor delta at or below this: not interi
 MIN_DAMPING = 2.0**-10
 MIN_STEP = 2.0**-40
 ARMIJO_C = 1e-4
+OBJECTIVE_RESOLUTION = 1e-14  # a decrease below this * max(1, |objective|) is unresolvable
 
 
 @dataclass(eq=False)
@@ -263,6 +264,30 @@ def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
     )
 
 
+def _line_search(trial, objective: float, residual: float, slope: float):
+    """The point of the first accepted step of 1, 1/2, ... down to MIN_STEP.
+
+    ``trial(step)`` gives (point, objective, residual), or None when the trial
+    point cannot be evaluated; ``slope`` is the objective's rate of decrease.
+    A step needs the Armijo decrease ARMIJO_C * step * slope while that is
+    above the objective's resolution, and below it (near the minimum) a lower
+    residual, which stays resolvable down to the stopping tolerance.  None
+    when no step makes progress.
+    """
+    resolution = OBJECTIVE_RESOLUTION * max(1.0, abs(objective))
+    step = 1.0
+    while step >= MIN_STEP:
+        out = trial(step)
+        if out is not None:
+            point, objective_try, residual_try = out
+            needed = ARMIJO_C * step * slope
+            resolved = needed > resolution
+            if objective_try <= objective - needed if resolved else residual_try < residual:
+                return point
+        step /= 2.0
+    return None
+
+
 def _moved_state(z, w, g, beta=None):
     """Unit moved rows, momentum, residual ||F(g.nu) - beta|| and energy at g."""
     k = z.shape[1]
@@ -312,23 +337,15 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
             )
         if it == max_iter:
             break
-        slope = residual * residual  # -d/ds Psi along the steepest direction
-        step = 1.0
-        accepted = False
-        while step >= MIN_STEP:
+
+        def trial(step):
             g_try = herm_exp(-step * mom) @ g
             _, _, residual_try, energy_try = _moved_state(z, w, g_try)
-            needed = ARMIJO_C * step * slope
-            # Near the minimum the Armijo decrease falls below the energy's
-            # floating-point resolution; switch to the residual, which stays
-            # resolvable down to the stopping tolerance.
-            if energy_try <= energy - needed or (
-                needed <= 1e-14 * max(1.0, abs(energy)) and residual_try < residual
-            ):
-                accepted = True
-                break
-            step /= 2.0
-        if not accepted:  # flat to machine precision; cannot make progress
+            return g_try, energy_try, residual_try
+
+        # -d/ds Psi along the steepest direction is residual^2
+        g_try = _line_search(trial, energy, residual, residual * residual)
+        if g_try is None:  # flat to machine precision; cannot make progress
             iterations = it
             break
         g = GroupElement(g_try).g
@@ -376,18 +393,15 @@ def balance(
     raise InvalidInput(f"unknown balancing method {method!r}")
 
 
-def _gram_from_arrays(z: np.ndarray, w: np.ndarray, mats: list) -> np.ndarray:
-    """Gram matrix of momentum derivatives for unit atom rows z."""
-    count = len(mats)
-    az = [z @ a.T for a in mats]  # row i of z @ a.T is (a z_i)^T
-    mus = [np.einsum("mc,mc->m", z.conj(), azj).real for azj in az]
-    gram = np.empty((count, count))
-    for j in range(count):
-        for l in range(j, count):
-            dots = np.einsum("mc,mc->m", az[j].conj(), az[l]).real
-            val = 2.0 * float(w @ (dots - mus[j] * mus[l]))
-            gram[j, l] = gram[l, j] = val
-    return gram
+def _gram_from_arrays(z: np.ndarray, w: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Gram matrix of momentum derivatives for unit atom rows z and a (K, k, k)
+    stack of directions A_j: one contraction over the stack of the A_j z_i."""
+    count = mats.shape[0]
+    az = z @ np.swapaxes(mats, 1, 2)  # (K, m, k): row i of slice j is (A_j z_i)^T
+    mus = np.einsum("mc,jmc->jm", z.conj(), az).real
+    pairs = az.reshape(count, -1).conj() @ (az * w[:, None]).reshape(count, -1).T
+    gram = 2.0 * (pairs.real - (mus * w) @ mus.T)
+    return (gram + gram.T) / 2.0
 
 
 def gram_operator(nu: AtomicMeasure, basis: list) -> np.ndarray:
@@ -397,14 +411,12 @@ def gram_operator(nu: AtomicMeasure, basis: list) -> np.ndarray:
     L^2 pairing of the fundamental vector fields of the basis directions;
     it equals d/dt <F(exp(t A_j).nu), A_l> at t = 0.
     """
-    mats = [
-        b.a if isinstance(b, SpectralDirection) else np.asarray(b, dtype=complex)
-        for b in basis
-    ]
-    for a in mats:
-        if a.shape != (nu.dim + 1, nu.dim + 1):
-            raise InvalidInput("basis direction size does not match the measure")
-    return _gram_from_arrays(nu.coeff_matrix(), nu.weights, mats)
+    k = nu.dim + 1
+    mats = [b.a if isinstance(b, SpectralDirection) else np.asarray(b) for b in basis]
+    if any(a.shape != (k, k) for a in mats):
+        raise InvalidInput("basis direction size does not match the measure")
+    stack = np.array(mats, dtype=complex).reshape(-1, k, k)
+    return _gram_from_arrays(nu.coeff_matrix(), nu.weights, stack)
 
 
 def _validate_target(rho, k: int) -> np.ndarray:
@@ -446,7 +458,7 @@ def solve_target(
     if verdict.kind is not StabilityKind.STABLE:
         raise NotStable(f"target solve needs a stable measure, got {verdict.kind.value}")
     beta = rho - np.eye(k) / k
-    basis = traceless_hermitian_basis(k)
+    basis = np.array(traceless_hermitian_basis(k))  # (k^2 - 1, k, k)
     z = nu.coeff_matrix()
     w = nu.weights
     g = _start_element(nu, start)
@@ -465,7 +477,7 @@ def solve_target(
         if it == max_iter:
             break
         gram = _gram_from_arrays(unit, w, basis)
-        rhs = np.array([np.trace((beta - mom) @ a).real for a in basis])
+        rhs = np.einsum("ab,jba->j", beta - mom, basis).real  # tr((beta - F) A_j)
         try:
             cond = np.linalg.cond(gram)
             if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
@@ -475,29 +487,21 @@ def solve_target(
             coeffs = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularGram("Gram operator solve failed") from exc
-        direction = sum(c * a for c, a in zip(coeffs, basis))
-        target_sq = residual * residual
-        step = 1.0
-        accepted = False
-        while step >= MIN_STEP:
+        direction = np.tensordot(coeffs, basis, axes=1)
+
+        def trial(step):
             try:
                 g_try = GroupElement(herm_exp(step * direction) @ g).g
-            except InvalidInput:  # the trial element overflowed or is singular
-                step /= 2.0
-                continue
-            try:
                 out = _moved_state(z, w, g_try, beta)
-            except NumericalDegeneracy:
-                step /= 2.0
-                continue
-            if out[2] ** 2 <= (1.0 - ARMIJO_C * step) * target_sq:
-                accepted = True
-                break
-            step /= 2.0
-        if not accepted:
+            except (InvalidInput, NumericalDegeneracy):  # overflowed or singular
+                return None
+            return (g_try, out), out[2] ** 2, out[2]
+
+        # Newton on the squared residual: its rate of decrease is residual^2
+        found = _line_search(trial, residual * residual, residual, residual * residual)
+        if found is None:
             break
-        g = g_try
-        unit, mom, residual, energy = out
+        g, (unit, mom, residual, energy) = found
     return BalanceResult(
         g=GroupElement(g),
         residual=residual,
@@ -553,12 +557,11 @@ def _check_torus_target(w, support, p_target):
     certified by an LP maximizing the floor delta of all support
     coordinates q_ij >= delta.
     """
-    covered = support.any(axis=0)
-    for j in range(support.shape[1]):
-        if not covered[j] and abs(p_target[j]) > 1e-12:
-            raise TargetOutsidePolytope(
-                f"coordinate {j} is unreachable (no atom touches it)"
-            )
+    unreachable = ~support.any(axis=0) & (np.abs(p_target) > 1e-12)
+    if unreachable.any():
+        raise TargetOutsidePolytope(
+            f"coordinate {int(np.argmax(unreachable))} is unreachable (no atom touches it)"
+        )
     c, a_ub, b_ub, a_eq, b_eq, bounds = _torus_lp(w, support, p_target)
     res = linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
@@ -637,25 +640,17 @@ def torus_solve(
         if slope >= 0.0:  # fall back to plain gradient descent direction
             step_dir = -(resvec - resvec.mean())
             slope = float(resvec @ step_dir)
-        step = 1.0
-        accepted = False
-        while step >= MIN_STEP:
+
+        def trial(step):
             theta_try = theta + step * step_dir
             theta_try = theta_try - theta_try.mean()
             out = state(theta_try)
-            needed = -ARMIJO_C * step * slope
-            # As in _descent_balance: a decrease of order residual^2 falls
-            # below the objective's resolution, so accept a lower residual.
-            if out[3] <= objective - needed or (
-                needed <= 1e-14 * max(1.0, abs(objective)) and out[2] < residual
-            ):
-                accepted = True
-                break
-            step /= 2.0
-        if not accepted:
+            return (theta_try, out), out[3], out[2]
+
+        found = _line_search(trial, objective, residual, -slope)
+        if found is None:
             break
-        theta = theta_try
-        p, resvec, residual, objective = out
+        theta, (p, resvec, residual, objective) = found
     why = "iteration cap" if it == max_iter else "flat step: no step made progress"
     raise MaxIterations(
         f"torus solve residual {residual:.3e} at iteration {it} ({why})",

@@ -183,16 +183,17 @@ def hersch_balance(
     nu = to_projective(sm)
     verdict = classify(nu, cap=max(16, nu.atom_count))
     if verdict.kind is StabilityKind.UNSTABLE:
-        com0 = bloch(momentum(nu).m)
+        mom = momentum(nu).m
+        residual = float(np.linalg.norm(mom))
         result = BalanceResult(
             g=GroupElement.identity(1),
-            residual=float(np.linalg.norm(momentum(nu).m)),
+            residual=residual,
             iterations=0,
-            trace=[(0, float(np.linalg.norm(momentum(nu).m)), 0.0)],
+            trace=[(0, residual, 0.0)],
             verdict=VERDICT_DIVERGED,
             certificate=verdict.certificate,
         )
-        return GroupElement.identity(1), result, com0
+        return GroupElement.identity(1), result, bloch(mom)
     result = balance(nu, tol=tol, max_iter=max_iter)
     if result.verdict == VERDICT_CONVERGED:
         moved = pushforward(result.g, nu)

@@ -4,8 +4,9 @@ Everything here is seeded through numpy's PCG64 generator; no test should
 draw from global random state.  The oracles (bisection, finite differences,
 hull membership) are written from scratch on purpose — they cross-check the
 package instead of reusing its internals.  The references (`reference_merge`,
-`reference_polystable_decompose`) are the package's former exhaustive
-algorithms, kept unchanged so the faster replacements can be held to them.
+`reference_polystable_decompose`, `reference_torus_lp`, `reference_gram`)
+are the package's former loop or exhaustive algorithms, kept unchanged so
+the faster replacements can be held to them.
 """
 
 from __future__ import annotations
@@ -333,6 +334,25 @@ def reference_torus_lp(w, support, p_target):
     bounds = [(0.0, 1.0)] * nvar + [(0.0, 1.0)]
     return c, a_ub, np.zeros(nvar), np.array(a_eq), np.array(b_eq), bounds
 
+
+def reference_gram(nu: AtomicMeasure, basis) -> np.ndarray:
+    """The Gram operator as the pairwise loop built it (the reference).
+
+    One entry pair (j, l), l >= j, at a time: 2 sum_i w_i Re[(A_j z_i)* (A_l z_i)
+    - mu_ji mu_li] with mu_ji = Re z_i* A_j z_i.
+    """
+    z, w = nu.coeff_matrix(), nu.weights
+    mats = [b.a if isinstance(b, SpectralDirection) else np.asarray(b, dtype=complex) for b in basis]
+    count = len(mats)
+    az = [z @ a.T for a in mats]  # row i of z @ a.T is (a z_i)^T
+    mus = [np.einsum("mc,mc->m", z.conj(), azj).real for azj in az]
+    gram = np.empty((count, count))
+    for j in range(count):
+        for l in range(j, count):
+            dots = np.einsum("mc,mc->m", az[j].conj(), az[l]).real
+            val = 2.0 * float(w @ (dots - mus[j] * mus[l]))
+            gram[j, l] = gram[l, j] = val
+    return gram
 
 def in_hull(x: np.ndarray, points: np.ndarray, tol: float = 1e-9) -> bool:
     """LP oracle: is x a convex combination of the given points?"""

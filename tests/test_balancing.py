@@ -49,6 +49,7 @@ from helpers import (
     polystable_measure,
     random_measure,
     random_traceless_hermitian,
+    reference_gram,
     reference_torus_lp,
     rng,
     stable_measure,
@@ -255,6 +256,18 @@ def test_gram_accepts_spectral_directions():
     assert np.allclose(g1, g2, atol=1e-15)
 
 
+def test_gram_matches_the_pairwise_reference():
+    r = rng(61)
+    for n in range(1, 5):
+        nu = random_measure(r, n, n + 4)
+        basis = traceless_hermitian_basis(n + 1)
+        directions = [spectral_decompose(random_traceless_hermitian(r, n + 1)) for _ in range(3)]
+        for dirs in (basis, directions, basis[:2] + directions):
+            got, want = gram_operator(nu, dirs), reference_gram(nu, dirs)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_gram_rejects_mismatched_direction_size():
     nu = measure_on([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     with pytest.raises(InvalidInput):
@@ -378,6 +391,40 @@ def test_torus_stop_message_names_the_iteration_and_the_cause(monkeypatch):
     monkeypatch.setattr(balancing, "MIN_STEP", 2.0)  # no trial step is ever taken
     with pytest.raises(MaxIterations, match=r"at iteration 0 \(flat step"):
         torus_solve(nu, beta)
+    descent = balance(stable_measure(rng(62), 2), method="geodesic-descent")
+    target = solve_target(nu, np.diag([0.6, 0.4]))
+    for res in (descent, target):
+        assert (res.verdict, res.iterations) == (VERDICT_MAX_ITERATIONS, 0)
+
+
+def test_torus_solve_at_zero_tolerance_stops_flat():
+    # Once the objective stops changing only a lower residual is progress,
+    # so an exact-zero tolerance stops early instead of running to the cap.
+    nu = measure_on([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1 / 3] * 3)
+    with pytest.raises(MaxIterations, match=r"at iteration \d \(flat step") as exc:
+        torus_solve(nu, np.array([0.05, -0.05]), tol=0.0)
+    assert exc.value.residual <= 1e-15
+
+
+def test_the_solvers_backtrack_through_one_line_search(monkeypatch):
+    calls = []
+    line_search = balancing._line_search
+
+    def counted(*args):
+        calls.append(args)
+        return line_search(*args)
+
+    monkeypatch.setattr(balancing, "_line_search", counted)
+    nu = measure_on([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1 / 3] * 3)
+    solves = (
+        lambda: balance(stable_measure(rng(62), 2), method="geodesic-descent"),
+        lambda: solve_target(nu, np.diag([0.6, 0.4])),
+        lambda: torus_solve(nu, np.array([0.1, -0.1])),
+    )
+    for solve in solves:
+        calls.clear()
+        res = solve()
+        assert res.iterations >= 1 and len(calls) == res.iterations
 
 
 def test_torus_lp_matches_the_loop_builder():

@@ -1,0 +1,50 @@
+"""The comparison of tools/cli_diff.py on hand-made records."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
+_SPEC = importlib.util.spec_from_file_location("cli_diff", _PATH)
+cli_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_diff)
+
+
+def record(op, kind="balance", code=0, out="verdict: converged\nresidual: 1e-12\n", err=""):
+    return {"op": op, "kind": kind, "code": code, "out": out, "err": err}
+
+
+def test_identical_records_do_not_differ():
+    ours = [record("solve-mix/1/0"), record("solve-mix/1/1", kind="torus", code=21, err="x\n")]
+    assert cli_diff.differences(ours, [dict(r) for r in ours]) == []
+
+
+def test_each_differing_op_is_named_with_its_first_differing_line():
+    ours = [
+        record("solve-mix/1/0"),
+        record("solve-mix/1/1", kind="balance_target", out="a\nb\nc\n"),
+        record("solve-mix/1/2", kind="torus", code=21, err="cap\n"),
+        record("solve-mix/1/3", out="a\n"),
+        record("solve-mix/1/4"),
+    ]
+    theirs = [
+        record("solve-mix/1/0"),
+        record("solve-mix/1/1", kind="balance_target", out="a\nB\nC\n"),
+        record("solve-mix/1/2", kind="torus", code=0, err="flat\n"),
+        record("solve-mix/1/3", out="a\nb\n"),
+        record("solve-mix/1/5"),
+    ]
+    assert cli_diff.differences(ours, theirs) == [
+        ("solve-mix/1/1", "balance_target", "stdout line 2: b | B"),
+        ("solve-mix/1/2", "torus", "exit 21 | 0"),  # the exit code is compared first
+        ("solve-mix/1/3", "balance", "stdout line 2: <end> | b"),
+        ("solve-mix/1/4", "balance", "missing in the other checkout"),
+        ("solve-mix/1/5", "balance", "missing in this checkout"),
+    ]
+
+
+def test_a_stderr_difference_is_reported():
+    ours = [record("balance-large/2/7", err="error: one\n")]
+    theirs = [record("balance-large/2/7", err="error: two\n")]
+    assert cli_diff.differences(ours, theirs) == [
+        ("balance-large/2/7", "balance", "stderr line 1: error: one | error: two")
+    ]
