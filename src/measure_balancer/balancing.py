@@ -47,12 +47,13 @@ from .geometry import (
     GroupElement,
     SpectralDirection,
     herm_exp,
+    move_rows,
     rows_in_nested_spans,
     span_basis,
     span_rank,
     traceless_hermitian_basis,
 )
-from .measures import AtomicMeasure, move_rows
+from .measures import AtomicMeasure
 from .stability import StabilityKind, Subspace, classify
 from .util import check_max_iter, check_tol
 

@@ -194,12 +194,20 @@ def herm_exp(a: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(vals)) @ vecs.conj().T
 
 
+def move_rows(g: np.ndarray, z: np.ndarray):
+    """The one kernel of the g-action: rows g z_i, their norms, and the unit rows."""
+    if g.shape[0] != z.shape[1]:
+        raise InvalidInput("group element size does not match the measure")
+    moved = (g @ z.T).T
+    norms = np.linalg.norm(moved, axis=1)
+    if np.any(norms < MIN_VECTOR_NORM):
+        raise NumericalDegeneracy("group action annihilated an atom representative")
+    return moved, norms, moved / norms[:, None]
+
+
 def act_point(g: GroupElement, p: ProjectivePoint) -> ProjectivePoint:
     """Projective action [z] -> [g z]."""
-    w = g.g @ p.coeffs
-    if float(np.linalg.norm(w)) < MIN_VECTOR_NORM:
-        raise NumericalDegeneracy("group action annihilated the representative")
-    return ProjectivePoint(w)
+    return ProjectivePoint(move_rows(g.g, p.coeffs[None])[0][0])
 
 
 def mu_component(p: ProjectivePoint, d: "SpectralDirection") -> float:
@@ -305,43 +313,43 @@ def direction_from_projectors(
     )
 
 
-def flow_limit(p: ProjectivePoint, d: SpectralDirection) -> tuple[int, ProjectivePoint]:
-    """Limit of [exp(tA) z] as t -> +infinity.
-
-    Returns (stratum index, limit point): the index of the highest eigenvalue
-    cluster on which z has a component of norm above COMPONENT_TOL, and the
-    normalized projection of z onto that eigenspace.
-    """
-    comps = [float(np.linalg.norm(proj @ p.coeffs)) for proj in d.projectors]
-    idx = -1
-    for i, c in enumerate(comps):
-        if c > COMPONENT_TOL:
-            idx = i
-    if idx < 0:
+def flow_strata(z: np.ndarray, d: SpectralDirection) -> np.ndarray:
+    """Per unit row of z, the highest cluster it has a component above COMPONENT_TOL on."""
+    comps = np.stack([np.linalg.norm(z @ proj.T, axis=1) for proj in d.projectors])
+    flags = comps > COMPONENT_TOL
+    if not flags.any(axis=0).all():
         raise NumericalDegeneracy("point has no spectral component above tolerance")
+    return d.levels - 1 - np.argmax(flags[::-1], axis=0)
+
+
+def flow_limit(p: ProjectivePoint, d: SpectralDirection) -> tuple[int, ProjectivePoint]:
+    """Limit of [exp(tA) z], t -> +infinity: (stratum, normalized projection onto it)."""
+    idx = int(flow_strata(p.coeffs[None], d)[0])
     return idx, ProjectivePoint(d.projectors[idx] @ p.coeffs)
 
 
-def flow_point(p: ProjectivePoint, d: SpectralDirection, t: float) -> ProjectivePoint:
-    """The flowed point [exp(tA) z], renormalized at evaluation.
+def flow_rows(z: np.ndarray, d: SpectralDirection, t: float) -> np.ndarray:
+    """Rows exp(tA) z_i scaled by exp(-t c_i), c_i the top eigenvalue z_i meets.
 
-    The dominant present eigenvalue is factored out before exponentiation so
-    the computation never overflows; components whose relative factor
-    underflows to zero are exactly the ones the limit discards.
+    No factor exceeds 1, so nothing overflows, and an absent component gets 0.
     """
-    parts = [proj @ p.coeffs for proj in d.projectors]
-    norms = np.array([np.linalg.norm(q) for q in parts])
-    present = norms > 0.0
-    if not present.any():
+    parts = np.stack([z @ proj.T for proj in d.projectors])  # (levels, m, k)
+    present = np.linalg.norm(parts, axis=2) > 0.0
+    if not present.any(axis=0).all():
         raise NumericalDegeneracy("point has no nonzero spectral component")
-    shift = float(np.max(d.eigenvalues[present]))
-    w = np.zeros_like(p.coeffs)
-    for c, q in zip(d.eigenvalues, parts):
-        factor = np.exp((c - shift) * t)
-        w = w + factor * q
-    if float(np.linalg.norm(w)) < MIN_VECTOR_NORM:
+    shift = d.eigenvalues[d.levels - 1 - np.argmax(present[::-1], axis=0)]
+    w = np.zeros_like(parts[0])
+    for c, q, here in zip(d.eigenvalues, parts, present):
+        factor = np.exp(np.where(here, (c - shift) * t, -np.inf))
+        w = w + factor[:, None] * q
+    if (np.linalg.norm(w, axis=1) < MIN_VECTOR_NORM).any():
         raise NumericalDegeneracy("flowed representative underflowed to zero")
-    return ProjectivePoint(w)
+    return w
+
+
+def flow_point(p: ProjectivePoint, d: SpectralDirection, t: float) -> ProjectivePoint:
+    """The flowed point [exp(tA) z], renormalized at evaluation."""
+    return ProjectivePoint(flow_rows(p.coeffs[None], d, t)[0])
 
 
 def traceless_hermitian_basis(size: int) -> list[np.ndarray]:

@@ -22,18 +22,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalDegeneracy
+from .errors import InvalidInput
 from .geometry import (
-    MIN_VECTOR_NORM,
     GroupElement,
     MomentumMatrix,
     ProjectivePoint,
     SpectralDirection,
     canonical_rows,
+    move_rows,
 )
 from .util import canonical_json, complex_to_pair, pair_to_complex
 
 WEIGHT_SUM_TOL = 1e-6  # weights may drift this far from 1 before renormalizing
+WEIGHT_RENORM_TOL = 1e-12  # weights summing farther than this from 1 are divided by the sum
 MERGE_TOL = 1e-12  # atoms with overlap |<z_i, z_j>| >= 1 - MERGE_TOL are merged
 # Unit rows with overlap >= 1 - MERGE_TOL lie within sqrt(2 MERGE_TOL) of each
 # other up to phase; the extra 1e-12 covers canonical rows up to 1e-14 off
@@ -77,7 +78,7 @@ class AtomicMeasure:
             raise InvalidInput(
                 f"atom weights sum to {total!r}, farther than {WEIGHT_SUM_TOL} from 1"
             )
-        if total != 1.0 and abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > WEIGHT_RENORM_TOL:
             weights = weights / total
         rows, weights = _merge_atoms(rows, weights)
         rows.flags.writeable = False
@@ -188,17 +189,6 @@ def _merge_atoms(z, weights):
     if keep.all():
         return z, weights
     return z[keep], np.bincount(owner, weights=weights, minlength=m)[keep]
-
-
-def move_rows(g: np.ndarray, z: np.ndarray):
-    """Rows g z_i, their norms and the unit rows g z_i / ||g z_i||."""
-    if g.shape[0] != z.shape[1]:
-        raise InvalidInput("group element size does not match the measure")
-    moved = (g @ z.T).T
-    norms = np.linalg.norm(moved, axis=1)
-    if np.any(norms < MIN_VECTOR_NORM):
-        raise NumericalDegeneracy("group action annihilated an atom representative")
-    return moved, norms, moved / norms[:, None]
 
 
 def pushforward(g: GroupElement, nu: AtomicMeasure) -> AtomicMeasure:

@@ -30,7 +30,7 @@ from .balancing import (
 )
 from .errors import InvalidInput
 from .geometry import GroupElement, ProjectivePoint
-from .measures import AtomicMeasure, momentum, pushforward
+from .measures import WEIGHT_RENORM_TOL, WEIGHT_SUM_TOL, AtomicMeasure, momentum, pushforward
 from .stability import StabilityKind, classify
 from .util import canonical_json, check_max_iter, check_tol
 
@@ -60,9 +60,9 @@ class SphereMeasure:
             raise InvalidInput("sphere points must have unit norm (within 1e-6)")
         pts = pts / norms[:, None]
         total = float(w.sum())
-        if abs(total - 1.0) > POINT_NORM_TOL:
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInput("weights must sum to 1 (within 1e-6)")
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > WEIGHT_RENORM_TOL:
             w = w / total
         pts.flags.writeable = False
         w.flags.writeable = False
@@ -120,17 +120,23 @@ class SphereMeasure:
         return cls.from_json_dict(data)
 
 
+def sphere_rows_to_projective(x: np.ndarray) -> np.ndarray:
+    """sphere_point_to_projective on rows; the results are not phase-canonical yet."""
+    x = np.asarray(x, dtype=float)
+    # One norm call per row: np.linalg.norm(x, axis=1) differs in the last bit.
+    nrm = np.array([float(np.linalg.norm(row)) for row in x])
+    if np.any(np.abs(nrm - 1.0) > POINT_NORM_TOL):
+        raise InvalidInput("sphere point must have unit norm")
+    x = x / nrm[:, None]
+    cos_half = np.sqrt(np.maximum(0.0, (1.0 + x[:, 2]) / 2.0))
+    sin_half = np.sqrt(np.maximum(0.0, (1.0 - x[:, 2]) / 2.0))
+    phase = np.exp(1j * np.arctan2(x[:, 1], x[:, 0]))
+    return np.stack([cos_half, phase * sin_half], axis=1)
+
+
 def sphere_point_to_projective(x) -> ProjectivePoint:
     """(sin t cos f, sin t sin f, cos t) -> [cos(t/2) : e^(if) sin(t/2)]."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > POINT_NORM_TOL:
-        raise InvalidInput("sphere point must have unit norm")
-    x = x / nrm
-    cos_half = np.sqrt(max(0.0, (1.0 + x[2]) / 2.0))
-    sin_half = np.sqrt(max(0.0, (1.0 - x[2]) / 2.0))
-    phase = np.exp(1j * np.arctan2(x[1], x[0]))
-    return ProjectivePoint(np.array([cos_half, phase * sin_half]))
+    return ProjectivePoint(sphere_rows_to_projective(np.reshape(x, (1, 3)))[0])
 
 
 def projective_point_to_sphere(p: ProjectivePoint) -> np.ndarray:
@@ -146,8 +152,7 @@ def projective_point_to_sphere(p: ProjectivePoint) -> np.ndarray:
 
 def to_projective(sm: SphereMeasure) -> AtomicMeasure:
     """Pushforward of a spherical measure under the CP^1 identification."""
-    points = [sphere_point_to_projective(x) for x in sm.points]
-    return AtomicMeasure(points, sm.weights)
+    return AtomicMeasure(sphere_rows_to_projective(sm.points), sm.weights)
 
 
 def bloch(m: np.ndarray) -> np.ndarray:

@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import EmptySpan, InvalidInput, SpanIsFull
 from .geometry import (
-    COMPONENT_TOL,
     ProjectivePoint,
     SpectralDirection,
     direction_from_projectors,
-    flow_point,
-    mu_component,
+    flow_rows,
+    flow_strata,
     span_basis,
 )
 from .measures import AtomicMeasure
@@ -58,13 +57,7 @@ def unstable_partition(nu: AtomicMeasure, d: SpectralDirection) -> WeightReport:
     """
     if d.size != nu.dim + 1:
         raise InvalidInput("direction size does not match the measure")
-    z = nu.coeff_matrix()  # (m, n+1)
-    comps = np.empty((d.levels, nu.atom_count))
-    for i, proj in enumerate(d.projectors):
-        comps[i] = np.linalg.norm(z @ proj.T, axis=1)
-    flags = comps > COMPONENT_TOL
-    # highest present cluster per atom: first True in the reversed scan
-    strata = d.levels - 1 - np.argmax(flags[::-1], axis=0)
+    strata = flow_strata(nu.coeff_matrix(), d)
     masses = np.bincount(strata, weights=nu.weights, minlength=d.levels)
     return WeightReport(direction=d, masses=masses)
 
@@ -84,10 +77,10 @@ def lambda_via_flow(nu: AtomicMeasure, d: SpectralDirection, t_max: float = 40.0
     """
     if t_max < 0:
         raise InvalidInput("t_max must be nonnegative")
-    total = 0.0
-    for p, w in nu.atoms:
-        total += float(w) * mu_component(flow_point(p, d, t_max), d)
-    return total
+    w = flow_rows(nu.coeff_matrix(), d, t_max)
+    w = w / np.linalg.norm(w, axis=1)[:, None]
+    mu = np.einsum("mc,mc->m", w.conj(), w @ d.a.T).real
+    return float(nu.weights @ mu)
 
 
 def destabilizing_direction(points: list, n: int | None = None) -> SpectralDirection:

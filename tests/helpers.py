@@ -4,7 +4,8 @@ Everything here is seeded through numpy's PCG64 generator; no test should
 draw from global random state.  The oracles (bisection, finite differences,
 hull membership) are written from scratch on purpose — they cross-check the
 package instead of reusing its internals.  The references (`reference_merge`,
-`reference_polystable_decompose`, `reference_torus_lp`, `reference_gram`)
+`reference_polystable_decompose`, `reference_torus_lp`, `reference_gram`,
+`reference_lambda_via_flow`, `reference_strata`, `reference_sphere_point`)
 are the package's former loop or exhaustive algorithms, kept unchanged so
 the faster replacements can be held to them.
 """
@@ -353,6 +354,54 @@ def reference_gram(nu: AtomicMeasure, basis) -> np.ndarray:
             val = 2.0 * float(w @ (dots - mus[j] * mus[l]))
             gram[j, l] = gram[l, j] = val
     return gram
+
+
+def reference_flow_point(z: np.ndarray, d: SpectralDirection, t: float) -> np.ndarray:
+    """The flowed unit row [exp(tA) z] as the per-point code computed it.
+
+    The top present eigenvalue is factored out; every component, present or
+    not, is multiplied by its exp((c - shift) t).
+    """
+    parts = [proj @ z for proj in d.projectors]
+    norms = np.array([np.linalg.norm(q) for q in parts])
+    shift = float(np.max(d.eigenvalues[norms > 0.0]))
+    w = np.zeros_like(z)
+    for c, q in zip(d.eigenvalues, parts):
+        w = w + np.exp((c - shift) * t) * q
+    return ProjectivePoint(w).coeffs
+
+
+def reference_lambda_via_flow(nu: AtomicMeasure, d: SpectralDirection, t_max: float) -> float:
+    """The flow weight as the per-atom loop summed it: sum_i w_i z_i(t)* A z_i(t)."""
+    total = 0.0
+    for p, w in nu.atoms:
+        z = reference_flow_point(p.coeffs, d, t_max)
+        total += float(w) * float(np.vdot(z, d.a @ z).real)
+    return total
+
+
+def reference_strata(nu: AtomicMeasure, d: SpectralDirection, component_tol: float = 1e-12):
+    """The stratum of each atom by the per-point scan: its highest cluster with
+    a component of norm above component_tol."""
+    strata = []
+    for p in nu.points:
+        idx = -1
+        for i, proj in enumerate(d.projectors):
+            if float(np.linalg.norm(proj @ p.coeffs)) > component_tol:
+                idx = i
+        strata.append(idx)
+    return np.array(strata)
+
+
+def reference_sphere_point(x) -> np.ndarray:
+    """The canonical CP^1 row of a sphere point as the per-point map built it."""
+    x = np.asarray(x, dtype=float).reshape(3)
+    x = x / float(np.linalg.norm(x))
+    cos_half = np.sqrt(max(0.0, (1.0 + x[2]) / 2.0))
+    sin_half = np.sqrt(max(0.0, (1.0 - x[2]) / 2.0))
+    phase = np.exp(1j * np.arctan2(x[1], x[0]))
+    return ProjectivePoint(np.array([cos_half, phase * sin_half])).coeffs
+
 
 def in_hull(x: np.ndarray, points: np.ndarray, tol: float = 1e-9) -> bool:
     """LP oracle: is x a convex combination of the given points?"""

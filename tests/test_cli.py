@@ -244,6 +244,43 @@ def test_weight_flow_check_columns(stable_file, capsys):
         )
 
 
+def test_weight_flow_check_at_large_times_skips_absent_components(tmp_path, capsys):
+    # [0:1] has no component on the top eigenvalue of diag(1, -1); at t = 400
+    # its factor exp(800) times that zero component must not become NaN.
+    path = write_measure(tmp_path, "nu.json", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.4, 0.3, 0.3])
+    dpath = tmp_path / "dir.json"
+    dpath.write_text(
+        json.dumps({"a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}),
+        encoding="utf-8",
+    )
+    assert main(["weight", path, "--direction", str(dpath), "--flow-check", "400"]) == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert float(row["lambda"]) == pytest.approx(0.4, abs=1e-12)
+    assert float(row["flow_lambda"]) == pytest.approx(0.4, abs=1e-12)
+
+
+def test_flow_check_and_sphere_balance_build_no_projective_point(
+    tmp_path, stable_file, monkeypatch, capsys
+):
+    sphere = write_sphere(
+        tmp_path, "sphere.json", [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]], [0.45, 0.3, 0.25]
+    )
+    built = []
+    post_init = ProjectivePoint.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ProjectivePoint, "__post_init__", counted)
+    assert main(["weight", stable_file, "--random", "5", "--flow-check", "40"]) == 0
+    assert main(["sphere", sphere, "balance"]) == 0
+    capsys.readouterr()
+    assert built == []
+    ProjectivePoint([1.0, 0.0])  # the count does see a construction
+    assert len(built) == 1
+
+
 def test_weight_needs_a_direction_source(stable_file, capsys):
     assert main(["weight", stable_file]) == 2
     assert "error:" in capsys.readouterr().err

@@ -48,3 +48,30 @@ def test_a_stderr_difference_is_reported():
     assert cli_diff.differences(ours, theirs) == [
         ("balance-large/2/7", "balance", "stderr line 1: error: one | error: two")
     ]
+
+
+def test_a_difference_in_numbers_only_reports_the_largest_one():
+    ours = [
+        record("solve-mix/1/11", kind="weight", out="lambda,flow\n0.5,0.25\n1,-2e-3\n"),
+        record("solve-mix/1/12", kind="weight", out="x 1.5\n"),
+        record("solve-mix/2/3", kind="torus", code=21, err="residual 2e-10 after 7\n"),
+    ]
+    theirs = [
+        record("solve-mix/1/11", kind="weight", out="lambda,flow\n0.5,0.2500001\n1,-2.5e-3\n"),
+        record("solve-mix/1/12", kind="weight", out="y 1.5\n"),
+        record("solve-mix/2/3", kind="torus", code=21, err="residual 3e-10 after 7\n"),
+    ]
+    assert cli_diff.differences(ours, theirs) == [
+        (
+            "solve-mix/1/11",
+            "weight",
+            "stdout line 2: 0.5,0.25 | 0.5,0.2500001 (numbers only, largest difference 0.0005)",
+        ),
+        ("solve-mix/1/12", "weight", "stdout line 1: x 1.5 | y 1.5"),  # the text differs too
+        (
+            "solve-mix/2/3",
+            "torus",
+            "stderr line 1: residual 2e-10 after 7 | residual 3e-10 after 7 "
+            "(numbers only, largest difference 1e-10)",
+        ),
+    ]

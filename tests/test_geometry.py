@@ -128,6 +128,11 @@ def test_group_action_frozen_value():
     assert p.isclose(ProjectivePoint([4.0, 1.0]))
 
 
+def test_group_action_checks_the_size_of_g():
+    with pytest.raises(InvalidInput):
+        act_point(GroupElement.identity(2), ProjectivePoint([1.0, 0.0]))
+
+
 def test_group_inverse_and_compose():
     r = rng(4)
     a = r.normal(size=(3, 3)) + 1j * r.normal(size=(3, 3))
@@ -252,9 +257,11 @@ def test_flow_point_converges_to_flow_limit():
 
 def test_flow_point_never_overflows_for_large_times():
     d = spectral_decompose(np.diag([2.0, -2.0]))
-    p = ProjectivePoint([1.0, 1.0])
-    q = flow_point(p, d, 500.0)  # exp(1000) would overflow naively
-    assert q.isclose(ProjectivePoint([1.0, 0.0]))
+    # exp(1000) would overflow naively; [0:1] has no component on the top
+    # eigenvalue, where inf * 0 would make a NaN.
+    for z, limit in (([1.0, 1.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 1.0])):
+        q = flow_point(ProjectivePoint(z), d, 500.0)
+        assert q.isclose(ProjectivePoint(limit))
 
 
 # ---------------------------------------------------------------------------

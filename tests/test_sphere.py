@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from measure_balancer import (
+    AtomicMeasure,
     InvalidInput,
     SphereMeasure,
     VERDICT_CONVERGED,
@@ -19,7 +20,9 @@ from measure_balancer import (
     to_projective,
 )
 
-from helpers import rng
+from measure_balancer.sphere import sphere_rows_to_projective
+
+from helpers import reference_sphere_point, rng
 
 NORTH = [0.0, 0.0, 1.0]
 SOUTH = [0.0, 0.0, -1.0]
@@ -68,6 +71,20 @@ def test_identification_is_an_isometry_of_antipodes():
     p = sphere_point_to_projective(x)
     q = sphere_point_to_projective(-x)
     assert p.overlap(q) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sphere_rows_are_bit_equal_to_the_per_point_map():
+    r = rng(65)
+    pts = r.normal(size=(60, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts = np.vstack([NORTH, SOUTH, EAST, [0.0, -1.0, 0.0], pts])
+    drifted = pts * (1.0 + r.uniform(-5e-7, 5e-7, size=(pts.shape[0], 1)))
+    for x in (pts, drifted):
+        expected = np.array([reference_sphere_point(row) for row in x])
+        rows = AtomicMeasure(sphere_rows_to_projective(x), np.full(len(x), 1 / len(x))).coeffs
+        assert np.array_equal(rows, expected)
+        sm = SphereMeasure(x, np.full(len(x), 1 / len(x)))
+        assert np.array_equal(to_projective(sm).coeffs, [reference_sphere_point(p) for p in sm.points])
 
 
 def test_non_unit_sphere_point_is_rejected():

@@ -17,7 +17,18 @@ from measure_balancer import (
     spectral_decompose,
 )
 
-from helpers import gapped_pair, rng, unstable_measure
+from measure_balancer.geometry import flow_strata
+
+from helpers import (
+    gapped_pair,
+    random_measure,
+    random_unitary,
+    random_vector,
+    reference_lambda_via_flow,
+    reference_strata,
+    rng,
+    unstable_measure,
+)
 
 
 def measure_on(rows, weights):
@@ -73,6 +84,36 @@ def test_flow_estimate_matches_maximal_weight():
         lam = maximal_weight(nu, d).lam
         approx = lambda_via_flow(nu, d, t_max=40.0)
         assert approx == pytest.approx(lam, abs=1e-6)
+
+
+def repeated_eigenvalue_direction(r, k):
+    """Direction with a doubled top eigenvalue (k >= 3) or a simple spectrum."""
+    vals = np.sort(r.normal(size=k))
+    if k >= 3:
+        vals[-2] = vals[-1]
+    v = random_unitary(r, k)
+    return spectral_decompose(v @ np.diag(vals - vals.mean()) @ v.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_flow_matches_the_per_atom_reference(n):
+    r = rng(90 + n)
+    cases = [gapped_pair(r, n, 7) for _ in range(3)]
+    cases += [(random_measure(r, n, 9), repeated_eigenvalue_direction(r, n + 1)) for _ in range(3)]
+    for nu, d in cases:
+        assert np.array_equal(flow_strata(nu.coeff_matrix(), d), reference_strata(nu, d))
+        # atoms in a lower eigenspace, off it by a 1e-5 top component or by rounding alone
+        top = d.projectors[-1]
+        rows = [
+            proj @ random_vector(r, n + 1) + eps * (top @ random_vector(r, n + 1))
+            for proj in d.projectors[:-1]
+            for eps in (0.0, 1e-5)
+        ]
+        near = AtomicMeasure(rows, np.full(len(rows), 1 / len(rows)))
+        assert np.array_equal(flow_strata(near.coeff_matrix(), d), reference_strata(near, d))
+        for t in (0.0, 1.0, 40.0, 400.0):
+            flow = lambda_via_flow(nu, d, t_max=t)
+            assert abs(flow - reference_lambda_via_flow(nu, d, t)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ checkout: one subprocess per checkout, importing the package from its
 ``src/``, with BLAS on one thread.  Both sides get the same inputs, drawn
 by this checkout's ``perfbench/inputs.py``.  Prints the op, its kind and
 the first differing line of each op whose exit code, stdout or stderr
-differ, and exits 1 if any op differs, 0 if none does.
+differ, followed by the largest absolute difference when the two outputs
+differ only in their numbers, and exits 1 if any op differs, 0 if none
+does.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = (("balance-large", 1), ("balance-large", 2), ("solve-mix", 1), ("solve-mix", 2))
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 # Run in a fresh interpreter: argv is (checkout, perfbench dir, work dir, out file).
 _WORKER = """
@@ -73,7 +77,12 @@ def _first_difference(field: str, ours, theirs) -> str:
     i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
     x = a[i] if i < len(a) else "<end>"
     y = b[i] if i < len(b) else "<end>"
-    return f"{'stdout' if field == 'out' else 'stderr'} line {i + 1}: {x} | {y}"
+    line = f"{'stdout' if field == 'out' else 'stderr'} line {i + 1}: {x} | {y}"
+    if NUMBER.split(ours) != NUMBER.split(theirs):
+        return line
+    pairs = zip(NUMBER.findall(ours), NUMBER.findall(theirs))
+    largest = max(abs(float(u) - float(v)) for u, v in pairs)
+    return f"{line} (numbers only, largest difference {largest:.2g})"
 
 
 def differences(ours: list, theirs: list) -> list:
