@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_weight.add_argument(
         "--random", type=int, help="number of seeded random directions to scan"
     )
-    p_weight.add_argument("--seed", type=int, default=0, help="PCG64 seed")
+    p_weight.add_argument("--seed", type=int, default=0, help="PCG64 seed (>= 0)")
     p_weight.add_argument(
         "--flow-check",
         type=float,

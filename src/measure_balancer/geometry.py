@@ -220,14 +220,15 @@ def mu_component(p: ProjectivePoint, d: "SpectralDirection") -> float:
 class SpectralDirection:
     """A nonzero traceless Hermitian direction with its spectral data.
 
-    ``eigenvalues`` are the distinct (cluster-merged) eigenvalues in strictly
-    ascending order; ``projectors[i]`` is the orthogonal projector onto the
-    i-th eigenspace and ``multiplicities[i]`` its rank.
+    ``vecs`` is a (k, k) unitary of eigenvector columns in ascending
+    eigenvalue order.  ``eigenvalues`` are the distinct (cluster-merged)
+    eigenvalues, strictly ascending, and cluster i owns the next
+    ``multiplicities[i]`` columns of ``vecs``.
     """
 
     a: np.ndarray
     eigenvalues: np.ndarray
-    projectors: list = field(repr=False)
+    vecs: np.ndarray = field(repr=False)
     multiplicities: np.ndarray
 
     @property
@@ -239,6 +240,11 @@ class SpectralDirection:
         """Number of distinct eigenvalue clusters."""
         return self.eigenvalues.size
 
+    @property
+    def projectors(self) -> list:
+        """Orthogonal projectors onto the cluster eigenspaces, derived from ``vecs``."""
+        return [v @ v.conj().T for v in np.split(self.vecs, np.cumsum(self.multiplicities)[:-1], axis=1)]
+
     def scaled(self, factor: float) -> "SpectralDirection":
         """The direction factor*A (factor > 0 keeps the eigenvalue order)."""
         if factor <= 0:
@@ -246,55 +252,59 @@ class SpectralDirection:
         return SpectralDirection(
             a=self.a * factor,
             eigenvalues=self.eigenvalues * factor,
-            projectors=self.projectors,
+            vecs=self.vecs,
             multiplicities=self.multiplicities,
         )
 
 
-def spectral_decompose(a) -> SpectralDirection:
-    """Validate a direction matrix and split its spectrum into clusters.
+def _frobenius(h: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (count, k, k) stack, bit-equal to np.linalg.norm of each matrix."""
+    re = h.real.reshape(h.shape[0], 1, -1)
+    im = h.imag.reshape(h.shape[0], 1, -1)
+    # A (1, k^2) @ (k^2, 1) product is the BLAS dot that np.linalg.norm uses.
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+
+
+def spectral_decompose_stack(mats) -> list[SpectralDirection]:
+    """Validate a (count, k, k) stack of direction matrices and decompose it with one eigh.
 
     Eigenvalues whose gap is at most CLUSTER_TOL * ||a||_F are merged into a
     single cluster (the cluster eigenvalue is their mean).
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = np.asarray(mats, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InvalidInput("direction must be a square matrix")
     if not np.all(np.isfinite(a)):
         raise InvalidInput("direction entries must be finite")
-    scale = float(np.linalg.norm(a))
-    if scale < 1e-14:
+    count, k = a.shape[:2]
+    scale = _frobenius(a)
+    if (scale < 1e-14).any():
         raise ZeroDirection("direction matrix has (numerically) zero norm")
-    if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(1.0, scale):
+    adj = a.conj().swapaxes(1, 2)
+    if (_frobenius(a - adj) > HERMITIAN_TOL * np.maximum(1.0, scale)).any():
         raise InvalidInput("direction matrix must be Hermitian")
-    a = (a + a.conj().T) / 2.0
-    k = a.shape[0]
-    tr = np.trace(a).real
-    if abs(tr) > 1e-10 * max(1.0, scale):
+    a = (a + adj) / 2.0
+    tr = np.trace(a, axis1=1, axis2=2).real
+    if (np.abs(tr) > 1e-10 * np.maximum(1.0, scale)).any():
         raise InvalidInput("direction matrix must be traceless")
-    if tr != 0.0:
-        a = a - np.eye(k) * (tr / k)
-    vals, vecs = np.linalg.eigh(a)
-    gap = CLUSTER_TOL * scale
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, k):
-        if vals[i] - vals[i - 1] <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    eigenvalues = np.array([float(np.mean(vals[c])) for c in clusters])
-    projectors = []
-    for c in clusters:
-        v = vecs[:, c]
-        projectors.append(v @ v.conj().T)
-    multiplicities = np.array([len(c) for c in clusters], dtype=int)
+    a = a - np.eye(k) * (tr / k + 0.0)[:, None, None]  # + 0.0: -0.0 would flip signed zeros
     a.flags.writeable = False
-    return SpectralDirection(
-        a=a,
-        eigenvalues=eigenvalues,
-        projectors=projectors,
-        multiplicities=multiplicities,
-    )
+    vals, vecs = np.linalg.eigh(a)
+    new = np.ones((count, k), dtype=bool)  # an eigenvalue that starts a cluster
+    new[:, 1:] = np.diff(vals, axis=1) > CLUSTER_TOL * scale[:, None]
+    cluster = np.cumsum(new).reshape(count, k) - 1  # cluster index over the whole stack
+    owner = np.flatnonzero(new) // k  # the direction of each cluster
+    mine = cluster[owner] == np.arange(owner.size)[:, None]
+    # A masked mean reduces each cluster as np.mean of its slice would, bit for bit.
+    means = np.mean(vals[owner], axis=1, where=mine)
+    bounds = np.cumsum(new.sum(axis=1))[:-1]
+    multiplicities = np.split(np.bincount(cluster.ravel()), bounds)
+    return list(map(SpectralDirection, a, np.split(means, bounds), vecs, multiplicities))
+
+
+def spectral_decompose(a) -> SpectralDirection:
+    """Validate one direction matrix and split its spectrum into clusters."""
+    return spectral_decompose_stack(np.asarray(a, dtype=complex)[None])[0]
 
 
 def direction_from_projectors(
@@ -302,30 +312,35 @@ def direction_from_projectors(
 ) -> SpectralDirection:
     """Assemble a SpectralDirection from known exact spectral pieces."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    a = sum(c * p for c, p in zip(eigenvalues, projectors))
-    a = np.asarray(a, dtype=complex)
+    multiplicities = np.asarray(multiplicities, dtype=int)
+    a = np.asarray(sum(c * p for c, p in zip(eigenvalues, projectors)), dtype=complex)
     a.flags.writeable = False
-    return SpectralDirection(
-        a=a,
-        eigenvalues=eigenvalues,
-        projectors=list(projectors),
-        multiplicities=np.asarray(multiplicities, dtype=int),
-    )
+    # The range of a rank-r projector is spanned by its top r eigenvectors.
+    vecs = np.hstack([np.linalg.eigh(p)[1][:, len(p) - r :] for p, r in zip(projectors, multiplicities)])
+    return SpectralDirection(a, eigenvalues, vecs, multiplicities)
+
+
+def _strata(z: np.ndarray, d: SpectralDirection, tol: float):
+    """Coefficients of the rows of z on the columns of d.vecs, the clusters each row
+    has a component of norm above tol on, and the highest of them."""
+    y = z @ d.vecs.conj()
+    starts = np.cumsum(d.multiplicities) - d.multiplicities
+    present = np.sqrt(np.add.reduceat(np.abs(y) ** 2, starts, axis=1)) > tol
+    if not present.any(axis=1).all():
+        raise NumericalDegeneracy("point has no spectral component above tolerance")
+    return y, present, d.levels - 1 - np.argmax(present[:, ::-1], axis=1)
 
 
 def flow_strata(z: np.ndarray, d: SpectralDirection) -> np.ndarray:
     """Per unit row of z, the highest cluster it has a component above COMPONENT_TOL on."""
-    comps = np.stack([np.linalg.norm(z @ proj.T, axis=1) for proj in d.projectors])
-    flags = comps > COMPONENT_TOL
-    if not flags.any(axis=0).all():
-        raise NumericalDegeneracy("point has no spectral component above tolerance")
-    return d.levels - 1 - np.argmax(flags[::-1], axis=0)
+    return _strata(z, d, COMPONENT_TOL)[2]
 
 
 def flow_limit(p: ProjectivePoint, d: SpectralDirection) -> tuple[int, ProjectivePoint]:
     """Limit of [exp(tA) z], t -> +infinity: (stratum, normalized projection onto it)."""
-    idx = int(flow_strata(p.coeffs[None], d)[0])
-    return idx, ProjectivePoint(d.projectors[idx] @ p.coeffs)
+    y, _, top = _strata(p.coeffs[None], d, COMPONENT_TOL)
+    keep = np.repeat(np.arange(d.levels) == top[0], d.multiplicities)
+    return int(top[0]), ProjectivePoint((y[0] * keep) @ d.vecs.T)
 
 
 def flow_rows(z: np.ndarray, d: SpectralDirection, t: float) -> np.ndarray:
@@ -333,15 +348,9 @@ def flow_rows(z: np.ndarray, d: SpectralDirection, t: float) -> np.ndarray:
 
     No factor exceeds 1, so nothing overflows, and an absent component gets 0.
     """
-    parts = np.stack([z @ proj.T for proj in d.projectors])  # (levels, m, k)
-    present = np.linalg.norm(parts, axis=2) > 0.0
-    if not present.any(axis=0).all():
-        raise NumericalDegeneracy("point has no nonzero spectral component")
-    shift = d.eigenvalues[d.levels - 1 - np.argmax(present[::-1], axis=0)]
-    w = np.zeros_like(parts[0])
-    for c, q, here in zip(d.eigenvalues, parts, present):
-        factor = np.exp(np.where(here, (c - shift) * t, -np.inf))
-        w = w + factor[:, None] * q
+    y, present, top = _strata(z, d, 0.0)
+    exponent = np.where(present, (d.eigenvalues - d.eigenvalues[top][:, None]) * t, -np.inf)
+    w = (y * np.exp(np.repeat(exponent, d.multiplicities, axis=1))) @ d.vecs.T
     if (np.linalg.norm(w, axis=1) < MIN_VECTOR_NORM).any():
         raise NumericalDegeneracy("flowed representative underflowed to zero")
     return w
@@ -386,26 +395,20 @@ def random_direction_matrices(count: int, size: int, seed: int = 0) -> np.ndarra
     """Sample GUE-style directions: Hermitian Gaussian, traceless, unit norm.
 
     Uses numpy's PCG64 generator, so draws are portable across platforms for
-    a fixed seed.
+    a fixed seed; the seed must be a nonnegative integer.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    out = np.empty((count, size, size), dtype=complex)
-    for i in range(count):
-        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        h = (x + x.conj().T) / 2.0
-        h -= np.eye(size) * (np.trace(h).real / size)
-        nrm = np.linalg.norm(h)
-        if nrm < 1e-12:  # astronomically unlikely; resample deterministically
-            h = np.diag([1.0] + [0.0] * (size - 2) + [-1.0]).astype(complex)
-            nrm = np.linalg.norm(h)
-        out[i] = h / nrm
-    return out
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    x = np.random.Generator(np.random.PCG64(seed)).standard_normal((count, 2, size, size))
+    x = x[:, 0] + 1j * x[:, 1]
+    h = (x + x.conj().swapaxes(1, 2)) / 2.0
+    h -= np.eye(size) * (np.trace(h, axis1=1, axis2=2).real / size)[:, None, None]
+    return h / _frobenius(h)[:, None, None]
 
 
 def random_directions(count: int, n: int, seed: int = 0) -> list[SpectralDirection]:
     """Seeded random directions on CP^n, decomposed and ready to use."""
-    mats = random_direction_matrices(count, n + 1, seed=seed)
-    return [spectral_decompose(a) for a in mats]
+    return spectral_decompose_stack(random_direction_matrices(count, n + 1, seed=seed))
 
 
 def _rank(s: np.ndarray) -> int:

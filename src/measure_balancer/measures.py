@@ -55,24 +55,18 @@ class AtomicMeasure:
     weights: np.ndarray
 
     def __init__(self, atoms, weights):
-        if isinstance(atoms, np.ndarray) and atoms.ndim == 2:
-            rows = canonical_rows(atoms)
-        else:
-            rows = [
-                (a if isinstance(a, ProjectivePoint) else ProjectivePoint(a)).coeffs
-                for a in atoms
-            ]
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        if len(rows) == 0:
+        if not (isinstance(atoms, np.ndarray) and atoms.ndim == 2):
+            atoms = [a.coeffs if isinstance(a, ProjectivePoint) else np.ravel(a) for a in atoms]
+            if len({row.size for row in atoms}) > 1:
+                raise InvalidInput("all atoms must live in the same CP^n")
+        if len(atoms) == 0:
             raise InvalidInput("a measure needs at least one atom")
+        rows = canonical_rows(atoms)
+        weights = np.asarray(weights, dtype=float).reshape(-1)
         if weights.size != len(rows):
             raise InvalidInput("points and weights must have equal length")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             raise InvalidInput("atom weights must be finite and positive")
-        if isinstance(rows, list):
-            if len({row.size for row in rows}) != 1:
-                raise InvalidInput("all atoms must live in the same CP^n")
-            rows = np.array(rows)
         total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInput(

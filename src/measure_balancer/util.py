@@ -22,7 +22,7 @@ def check_max_iter(max_iter: int) -> None:
 
 
 def check_tol(name: str, value: float) -> None:
-    """Reject a tolerance that is negative, infinite or NaN (0 is exact)."""
+    """Reject a tolerance or a time that is negative, infinite or NaN (0 is allowed)."""
     if not (math.isfinite(value) and value >= 0.0):
         raise InvalidInput(f"{name} must be finite and >= 0, got {value}")
 

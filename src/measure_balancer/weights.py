@@ -23,12 +23,13 @@ from .errors import EmptySpan, InvalidInput, SpanIsFull
 from .geometry import (
     ProjectivePoint,
     SpectralDirection,
-    direction_from_projectors,
+    canonical_rows,
     flow_rows,
     flow_strata,
     span_basis,
 )
 from .measures import AtomicMeasure
+from .util import check_tol
 
 
 @dataclass(eq=False)
@@ -75,8 +76,7 @@ def lambda_via_flow(nu: AtomicMeasure, d: SpectralDirection, t_max: float = 40.0
     Evaluates sum_i w_i <mu(exp(t_max A) z_i), A>, which increases to lambda
     as t_max grows.  Intended as an independent oracle, not a fast path.
     """
-    if t_max < 0:
-        raise InvalidInput("t_max must be nonnegative")
+    check_tol("t_max", t_max)
     w = flow_rows(nu.coeff_matrix(), d, t_max)
     w = w / np.linalg.norm(w, axis=1)[:, None]
     mu = np.einsum("mc,mc->m", w.conj(), w @ d.a.T).real
@@ -92,25 +92,25 @@ def destabilizing_direction(points: list, n: int | None = None) -> SpectralDirec
     """
     if not points:
         raise EmptySpan("no points were given")
-    points = [
-        p if isinstance(p, ProjectivePoint) else ProjectivePoint(p) for p in points
-    ]
-    size = points[0].coeffs.size
+    rows = [p.coeffs if isinstance(p, ProjectivePoint) else np.ravel(p) for p in points]
+    if len({row.size for row in rows}) > 1:
+        raise InvalidInput("points do not all live in the same CP^n")
+    rows = canonical_rows(rows)
+    size = rows.shape[1]
     if n is None:
         n = size - 1
     elif n != size - 1:
         raise InvalidInput("points do not live in CP^n for the requested n")
-    q = span_basis(points)
+    q = span_basis(rows)
     d = q.shape[1] - 1
     if d == n:
         raise SpanIsFull("points span all of C^(n+1); no proper subspace")
     proj = q @ q.conj().T
-    comp = np.eye(size) - proj
-    return direction_from_projectors(
-        eigenvalues=[float(d - n), float(d + 1)],
-        projectors=[proj, comp],
-        multiplicities=[d + 1, n - d],
-    )
+    a = (d - n) * proj + (d + 1) * (np.eye(size) - proj)
+    a.flags.writeable = False
+    # The columns of the full U that follow the span's own are its complement.
+    vecs = np.hstack([q, np.linalg.svd(q)[0][:, d + 1 :]])
+    return SpectralDirection(a, np.array([d - n, d + 1], dtype=float), vecs, np.array([d + 1, n - d]))
 
 
 def lambda_closed_form(nu: AtomicMeasure, subspace_mass: float, d: int) -> float:

@@ -5,9 +5,10 @@ draw from global random state.  The oracles (bisection, finite differences,
 hull membership) are written from scratch on purpose — they cross-check the
 package instead of reusing its internals.  The references (`reference_merge`,
 `reference_polystable_decompose`, `reference_torus_lp`, `reference_gram`,
-`reference_lambda_via_flow`, `reference_strata`, `reference_sphere_point`)
-are the package's former loop or exhaustive algorithms, kept unchanged so
-the faster replacements can be held to them.
+`reference_lambda_via_flow`, `reference_strata`, `reference_sphere_point`,
+`reference_spectral_decompose`, `reference_random_direction_matrices`) are
+the package's former loop or exhaustive algorithms, kept unchanged so the
+faster replacements can be held to them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from scipy.optimize import linprog
 from measure_balancer import (
     AtomicMeasure,
     GroupElement,
+    InvalidInput,
     NotPolystable,
     NotSemistable,
     PolystableSplitting,
@@ -26,11 +28,13 @@ from measure_balancer import (
     SplittingBlock,
     StabilityKind,
     TooManyAtoms,
+    ZeroDirection,
     candidate_subspaces,
     classify,
     pushforward,
     spectral_decompose,
 )
+from measure_balancer.geometry import CLUSTER_TOL
 from measure_balancer.stability import _margin_and_worst
 
 
@@ -391,6 +395,63 @@ def reference_strata(nu: AtomicMeasure, d: SpectralDirection, component_tol: flo
                 idx = i
         strata.append(idx)
     return np.array(strata)
+
+
+def reference_spectral_decompose(a):
+    """(a, eigenvalues, projectors, multiplicities) as the per-matrix code built them.
+
+    One eigh, then a Python loop that grows clusters while the eigenvalue gap
+    is at most CLUSTER_TOL * ||a||_F, one np.mean per cluster and one
+    projector per cluster.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidInput("direction must be a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput("direction entries must be finite")
+    scale = float(np.linalg.norm(a))
+    if scale < 1e-14:
+        raise ZeroDirection("direction matrix has (numerically) zero norm")
+    if np.linalg.norm(a - a.conj().T) > 1e-12 * max(1.0, scale):
+        raise InvalidInput("direction matrix must be Hermitian")
+    a = (a + a.conj().T) / 2.0
+    k = a.shape[0]
+    tr = np.trace(a).real
+    if abs(tr) > 1e-10 * max(1.0, scale):
+        raise InvalidInput("direction matrix must be traceless")
+    if tr != 0.0:
+        a = a - np.eye(k) * (tr / k)
+    vals, vecs = np.linalg.eigh(a)
+    gap = CLUSTER_TOL * scale
+    clusters: list[list[int]] = [[0]]
+    for i in range(1, k):
+        if vals[i] - vals[i - 1] <= gap:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    eigenvalues = np.array([float(np.mean(vals[c])) for c in clusters])
+    projectors = []
+    for c in clusters:
+        v = vecs[:, c]
+        projectors.append(v @ v.conj().T)
+    multiplicities = np.array([len(c) for c in clusters], dtype=int)
+    return a, eigenvalues, projectors, multiplicities
+
+
+def reference_random_direction_matrices(count: int, size: int, seed: int = 0) -> np.ndarray:
+    """The seeded direction sampler as the per-direction loop drew it."""
+    r = np.random.Generator(np.random.PCG64(seed))
+    out = np.empty((count, size, size), dtype=complex)
+    for i in range(count):
+        x = r.standard_normal((size, size)) + 1j * r.standard_normal((size, size))
+        h = (x + x.conj().T) / 2.0
+        h -= np.eye(size) * (np.trace(h).real / size)
+        nrm = np.linalg.norm(h)
+        if nrm < 1e-12:
+            h = np.diag([1.0] + [0.0] * (size - 2) + [-1.0]).astype(complex)
+            nrm = np.linalg.norm(h)
+        out[i] = h / nrm
+    return out
 
 
 def reference_sphere_point(x) -> np.ndarray:

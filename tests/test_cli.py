@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,35 @@ def test_flow_check_and_sphere_balance_build_no_projective_point(
     assert built == []
     ProjectivePoint([1.0, 0.0])  # the count does see a construction
     assert len(built) == 1
+
+
+def test_weight_rejects_a_negative_seed(stable_file, capsys):
+    assert main(["weight", stable_file, "--random", "3", "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max", ["inf", "nan"])
+def test_weight_rejects_a_non_finite_flow_check_time(stable_file, capsys, t_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["weight", stable_file, "--random", "3", "--flow-check", t_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t_max must be finite and >= 0" in captured.err
+
+
+def test_a_random_weight_scan_decomposes_with_one_eigh(stable_file, monkeypatch, capsys):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert main(["weight", stable_file, "--random", "100"]) == 0
+    capsys.readouterr()
+    assert shapes == [(100, 2, 2)]
 
 
 def test_weight_needs_a_direction_source(stable_file, capsys):

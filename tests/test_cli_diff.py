@@ -75,3 +75,29 @@ def test_a_difference_in_numbers_only_reports_the_largest_one():
             "(numbers only, largest difference 1e-10)",
         ),
     ]
+
+
+def test_the_summary_gives_each_kind_its_differing_ops_and_largest_number_difference():
+    ours = [
+        record("solve-mix/1/0", kind="weight", out="1,0.25\n"),
+        record("solve-mix/1/1", kind="weight", out="1,0.5\n"),
+        record("solve-mix/1/2", kind="weight", out="1,0.75\n"),
+        record("solve-mix/1/3", kind="torus", code=21),
+        record("solve-mix/1/4", kind="torus"),
+        record("solve-mix/1/5"),
+    ]
+    theirs = [
+        record("solve-mix/1/0", kind="weight", out="1,0.2500001\n"),
+        record("solve-mix/1/1", kind="weight", out="1,0.5\n"),
+        record("solve-mix/1/2", kind="weight", out="1,0.76\n"),
+        record("solve-mix/1/3", kind="torus", code=0),
+        record("solve-mix/1/4", kind="torus"),
+        record("solve-mix/1/5"),
+        record("solve-mix/1/6", kind="sphere_balance"),
+    ]
+    assert cli_diff.kind_summary(ours, theirs) == [
+        "balance: 0 of 1 ops differ",
+        "sphere_balance: 1 of 1 ops differ",  # run by the other checkout only
+        "torus: 1 of 2 ops differ",  # an exit code has no numeric difference
+        "weight: 2 of 3 ops differ, largest numeric difference 0.01",
+    ]

@@ -18,13 +18,22 @@ from measure_balancer import (
     herm_exp,
     momentum_of_point,
     mu_component,
+    random_direction_matrices,
     random_directions,
     spectral_decompose,
     traceless_hermitian_basis,
 )
-from measure_balancer.geometry import rows_in_nested_spans, rows_in_span
+from measure_balancer.geometry import rows_in_nested_spans, rows_in_span, spectral_decompose_stack
 
-from helpers import hermitian_exp, random_point, random_unitary, rng
+from helpers import (
+    hermitian_exp,
+    random_point,
+    random_traceless_hermitian,
+    random_unitary,
+    reference_random_direction_matrices,
+    reference_spectral_decompose,
+    rng,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +220,70 @@ def test_direction_reconstructs_from_projectors():
     d = random_directions(1, 3, seed=23)[0]
     d2 = direction_from_projectors(d.eigenvalues, d.projectors, d.multiplicities)
     assert np.allclose(d2.a, d.a, atol=1e-12)
+
+
+def with_eigenvalues(r, values) -> np.ndarray:
+    """A randomly rotated matrix with the given eigenvalues, shifted to trace 0."""
+    v = random_unitary(r, len(values))
+    return v @ np.diag(np.asarray(values) - np.mean(values)) @ v.conj().T
+
+
+def test_stack_decomposition_matches_the_per_matrix_reference():
+    r = rng(50)
+    stacks = {k: [random_traceless_hermitian(r, k) for _ in range(6)] for k in range(2, 7)}
+    stacks[4].append(with_eigenvalues(r, [1.0, 1.0, -2.0, 0.5]))  # a repeated eigenvalue
+    stacks[3].append(with_eigenvalues(r, [1.0 + 1e-13, 1.0 - 1e-13, -2.0]))  # gap inside CLUSTER_TOL
+    stacks[12] = [  # one cluster of multiplicity 10
+        with_eigenvalues(r, np.concatenate([[-4.0, -3.0], 1.0 + 1e-12 * r.uniform(-1, 1, 10)]))
+        for _ in range(6)
+    ]
+    for k, mats in stacks.items():
+        for d, a in zip(spectral_decompose_stack(np.array(mats)), mats, strict=True):
+            ref_a, eigenvalues, projectors, multiplicities = reference_spectral_decompose(a)
+            assert np.array_equal(d.a, ref_a)
+            assert np.array_equal(d.eigenvalues, eigenvalues)
+            assert np.array_equal(d.multiplicities, multiplicities)
+            for p, q in zip(d.projectors, projectors, strict=True):
+                assert np.abs(p - q).max() <= 1e-14
+            if k == 12:
+                assert tuple(d.multiplicities) == (1, 1, 10)
+    # At multiplicity 10 np.mean's pairwise sum and a sequential sum part ways,
+    # so the bit-equality above does test how the cluster means are reduced.
+    tops = [np.linalg.eigh(a)[0][2:] for a in stacks[12]]
+    assert any(np.mean(t) != sum(t[1:], t[0]) / t.size for t in tops)
+
+
+def test_stack_decomposition_rejects_a_stack_with_one_bad_matrix():
+    good = random_traceless_hermitian(rng(51), 3)
+    for bad, error in (
+        (np.triu(good), InvalidInput),  # not Hermitian
+        (good + np.eye(3), InvalidInput),  # not traceless
+        (np.zeros((3, 3)), ZeroDirection),
+        (np.full((3, 3), np.nan), InvalidInput),
+    ):
+        with pytest.raises(error):
+            spectral_decompose_stack(np.array([good, bad, good]))
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 8, 17, 31])
+def test_sampler_draws_match_the_per_direction_reference(size):
+    assert np.array_equal(
+        random_direction_matrices(20, size, seed=size),
+        reference_random_direction_matrices(20, size, seed=size),
+    )
+
+
+def test_sampler_rejects_a_negative_seed():
+    with pytest.raises(InvalidInput, match="seed"):
+        random_direction_matrices(3, 2, seed=-1)
+
+
+def test_direction_from_projectors_recovers_the_eigenvector_columns():
+    d = random_directions(1, 3, seed=23)[0]
+    d2 = direction_from_projectors(d.eigenvalues, d.projectors, d.multiplicities)
+    assert np.allclose(d2.vecs.conj().T @ d2.vecs, np.eye(4), atol=1e-13)
+    for p, q in zip(d2.projectors, d.projectors, strict=True):
+        assert np.allclose(p, q, atol=1e-13)
 
 
 def test_direction_scaled_keeps_projectors():

@@ -62,6 +62,28 @@ def test_atoms_must_share_dimension():
         )
 
 
+def test_list_atoms_are_canonicalized_as_one_stack_of_rows(monkeypatch):
+    r = rng(61)
+    vectors = [random_vector(r, 4) * r.uniform(0.1, 10.0) for _ in range(8)]
+    vectors += [np.array([0.0, 2j, 1.0, 0.0]), np.array([0.6, 0.0, 0.0, -0.8j])]
+    expected = np.array([ProjectivePoint(v).coeffs for v in vectors])  # the per-point path
+    points = [ProjectivePoint(v) for v in vectors]
+    built = []
+    post_init = ProjectivePoint.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ProjectivePoint, "__post_init__", counted)
+    w = np.full(len(vectors), 1.0 / len(vectors))
+    for atoms in (vectors, [list(v) for v in vectors], points, points[:5] + vectors[5:]):
+        assert np.array_equal(AtomicMeasure(atoms, w).coeffs, expected)
+    with pytest.raises(InvalidInput, match="all atoms must live in the same CP"):
+        AtomicMeasure([[1.0, 0.0], [1.0, 0.0, 0.0]], [0.5, 0.5])
+    assert built == []
+
+
 def test_duplicate_atoms_merge_with_combined_weight():
     nu = measure_on([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [0.3, 0.3, 0.4])
     assert nu.atom_count == 2

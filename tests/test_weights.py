@@ -161,6 +161,28 @@ def test_destabilizing_direction_accepts_raw_vectors():
     assert np.allclose(sorted(np.diag(d.a).real), [-2.0, 1.0, 1.0], atol=1e-14)
 
 
+def test_destabilizing_direction_columns_are_the_span_and_its_complement(monkeypatch):
+    r = rng(25)
+    vectors = [random_vector(r, 5) for _ in range(2)]
+    q = span_basis([ProjectivePoint(v) for v in vectors])  # the per-point path
+    built = []
+    post_init = ProjectivePoint.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ProjectivePoint, "__post_init__", counted)
+    d = destabilizing_direction(vectors)
+    assert built == []
+    assert np.array_equal(d.vecs[:, :2], q)
+    assert np.allclose(d.vecs.conj().T @ d.vecs, np.eye(5), atol=1e-13)
+    low, high = d.projectors
+    assert np.allclose(low, q @ q.conj().T, atol=1e-13)
+    assert np.allclose(d.a, -3.0 * low + 2.0 * high, atol=1e-13)  # d = 1, n = 4
+    assert tuple(d.multiplicities) == (2, 3)
+
+
 def test_destabilizing_direction_rejects_full_span():
     with pytest.raises(SpanIsFull):
         destabilizing_direction(

@@ -9,8 +9,9 @@ checkout: one subprocess per checkout, importing the package from its
 by this checkout's ``perfbench/inputs.py``.  Prints the op, its kind and
 the first differing line of each op whose exit code, stdout or stderr
 differ, followed by the largest absolute difference when the two outputs
-differ only in their numbers, and exits 1 if any op differs, 0 if none
-does.
+differ only in their numbers.  Ends with one line per op kind: its
+differing ops over its total, and the largest of those differences.  Exits
+1 if any op differs, 0 if none does.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,19 +72,37 @@ def run_checkout(checkout: Path) -> list:
             return json.load(fh)
 
 
-def _first_difference(field: str, ours, theirs) -> str:
-    if field == "code":
-        return f"exit {ours} | {theirs}"
-    a, b = ours.splitlines(), theirs.splitlines()
-    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-    x = a[i] if i < len(a) else "<end>"
-    y = b[i] if i < len(b) else "<end>"
-    line = f"{'stdout' if field == 'out' else 'stderr'} line {i + 1}: {x} | {y}"
+def _number_difference(ours: str, theirs: str):
+    """Largest absolute difference of the numbers of two texts that differ only in them, else None."""
     if NUMBER.split(ours) != NUMBER.split(theirs):
-        return line
-    pairs = zip(NUMBER.findall(ours), NUMBER.findall(theirs))
-    largest = max(abs(float(u) - float(v)) for u, v in pairs)
-    return f"{line} (numbers only, largest difference {largest:.2g})"
+        return None
+    return max(abs(float(u) - float(v)) for u, v in zip(NUMBER.findall(ours), NUMBER.findall(theirs)))
+
+
+def _compare(ours: list, theirs: list) -> list:
+    """(op, kind, first differing line, numeric difference or None) per differing op."""
+    other = {rec["op"]: rec for rec in theirs}
+    found = []
+    for rec in ours:
+        match = other.pop(rec["op"], None)
+        if match is None:
+            found.append((rec["op"], rec["kind"], "missing in the other checkout", None))
+            continue
+        field = next((f for f in ("code", "out", "err") if rec[f] != match[f]), None)
+        if field == "code":
+            found.append((rec["op"], rec["kind"], f"exit {rec['code']} | {match['code']}", None))
+        elif field is not None:
+            a, b = rec[field].splitlines(), match[field].splitlines()
+            i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            x = a[i] if i < len(a) else "<end>"
+            y = b[i] if i < len(b) else "<end>"
+            line = f"{'stdout' if field == 'out' else 'stderr'} line {i + 1}: {x} | {y}"
+            largest = _number_difference(rec[field], match[field])
+            if largest is not None:
+                line += f" (numbers only, largest difference {largest:.2g})"
+            found.append((rec["op"], rec["kind"], line, largest))
+    found.extend((op, rec["kind"], "missing in this checkout", None) for op, rec in other.items())
+    return found
 
 
 def differences(ours: list, theirs: list) -> list:
@@ -90,19 +110,24 @@ def differences(ours: list, theirs: list) -> list:
 
     Records are matched by op; an op that only one side ran differs too.
     """
-    other = {rec["op"]: rec for rec in theirs}
-    found = []
-    for rec in ours:
-        match = other.pop(rec["op"], None)
-        if match is None:
-            found.append((rec["op"], rec["kind"], "missing in the other checkout"))
-            continue
-        for field in ("code", "out", "err"):
-            if rec[field] != match[field]:
-                found.append((rec["op"], rec["kind"], _first_difference(field, rec[field], match[field])))
-                break
-    found.extend((op, rec["kind"], "missing in this checkout") for op, rec in other.items())
-    return found
+    return [entry[:3] for entry in _compare(ours, theirs)]
+
+
+def kind_summary(ours: list, theirs: list) -> list:
+    """Per op kind, sorted: its differing ops over its total and the largest numeric difference."""
+    totals = Counter({rec["op"]: rec["kind"] for rec in theirs + ours}.values())
+    differing, largest = Counter(), {}
+    for _, kind, _, number in _compare(ours, theirs):
+        differing[kind] += 1
+        if number is not None:
+            largest[kind] = max(largest.get(kind, 0.0), number)
+    lines = []
+    for kind in sorted(totals):
+        line = f"{kind}: {differing[kind]} of {totals[kind]} ops differ"
+        if kind in largest:
+            line += f", largest numeric difference {largest[kind]:.2g}"
+        lines.append(line)
+    return lines
 
 
 def main(argv=None) -> int:
@@ -115,6 +140,8 @@ def main(argv=None) -> int:
     for op, kind, line in found:
         print(f"{op} {kind}: {line}")
     print(f"{len(found)} of {len(ours)} ops differ")
+    for line in kind_summary(ours, theirs):
+        print(line)
     return 1 if found else 0
 
 
