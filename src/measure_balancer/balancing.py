@@ -130,7 +130,7 @@ def _start_element(nu: AtomicMeasure, start) -> np.ndarray:
 def _tyler_state(z: np.ndarray, w: np.ndarray, s: np.ndarray):
     """q_i = z_i* S z_i, the reweighted scatter R, residual and energy at S."""
     k = s.shape[0]
-    q = np.einsum("ma,ab,mb->m", z.conj(), s, z).real
+    q = np.einsum("mb,mb->m", z.conj() @ s, z).real
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         return q, None, None, np.inf, np.inf
     r_mat = (z.T * (w / q)) @ z.conj()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 
 import numpy as np
@@ -54,7 +53,7 @@ from .stability import (
     Subspace,
     classify,
 )
-from .util import canonical_json, fmt_float, matrix_to_pairs, pairs_to_matrix
+from .util import canonical_json, fmt_float, parse_json, read_numbers, to_pairs
 from .weights import lambda_via_flow, maximal_weight
 
 EXIT_OK = 0
@@ -105,19 +104,28 @@ def _load_sphere(path: str) -> SphereMeasure:
     return SphereMeasure.from_json(_read_text(path))
 
 
-def _load_json(path: str) -> dict:
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"invalid JSON in {path}: {exc}") from exc
+def _load_matrix(path: str, key: str, what: str) -> np.ndarray:
+    """The complex matrix under ``key`` of a JSON file: rows of [re, im] pairs."""
+    data = parse_json(_read_text(path))
     if not isinstance(data, dict):
         raise InvalidInput(f"{path}: expected a JSON object")
-    return data
+    if key not in data:
+        raise InvalidInput(f'{path}: {what} document needs key "{key}"')
+    rows = data[key]
+    if not isinstance(rows, list) or not rows:
+        raise InvalidInput("expected a non-empty list of matrix rows")
+    for row in rows:
+        if not isinstance(row, list) or not row:
+            raise InvalidInput("matrix rows must be non-empty lists")
+        if len(row) != len(rows[0]):
+            raise InvalidInput("matrix rows have inconsistent lengths")
+    pairs = read_numbers(rows, (len(rows), len(rows[0]), 2), key + "[{}]")
+    return pairs.view(complex)[..., 0]
 
 
 def _basis_vectors(basis: np.ndarray) -> list:
     """Serialize the columns of an orthonormal basis as coordinate vectors."""
-    return [matrix_to_pairs(basis[:, j : j + 1].T)[0] for j in range(basis.shape[1])]
+    return to_pairs(basis.T)
 
 
 def _subspace_dict(sub: Subspace) -> dict:
@@ -187,17 +195,10 @@ def cmd_classify(args) -> int:
     return _KIND_EXIT[verdict.kind]
 
 
-def _direction_from_file(path: str):
-    data = _load_json(path)
-    if "a" not in data:
-        raise InvalidInput(f'{path}: direction document needs key "a"')
-    return spectral_decompose(pairs_to_matrix(data["a"]))
-
-
 def cmd_weight(args) -> int:
     nu = _load_measure(args.measure)
     if args.direction is not None:
-        dirs = [_direction_from_file(args.direction)]
+        dirs = [spectral_decompose(_load_matrix(args.direction, "a", "direction"))]
     elif args.random is not None:
         if args.random < 1:
             raise InvalidInput("--random needs a positive count")
@@ -253,7 +254,7 @@ def _print_balance(result: BalanceResult) -> None:
         "verdict": result.verdict,
         "residual": float(result.residual),
         "iterations": result.iterations,
-        "g": matrix_to_pairs(result.g.g),
+        "g": to_pairs(result.g.g),
         "certificate": (
             _subspace_dict(result.certificate)
             if result.certificate is not None
@@ -268,10 +269,7 @@ def cmd_balance(args) -> int:
     nu = _load_measure(args.measure)
     target = None
     if args.target is not None:
-        data = _load_json(args.target)
-        if "rho" not in data:
-            raise InvalidInput(f'{args.target}: target document needs key "rho"')
-        target = pairs_to_matrix(data["rho"])
+        target = _load_matrix(args.target, "rho", "target")
     result = balance(
         nu,
         target_rho=target,
@@ -313,7 +311,7 @@ def cmd_sphere(args) -> int:
         "verdict": result.verdict,
         "residual": float(result.residual),
         "iterations": result.iterations,
-        "mobius": matrix_to_pairs(mobius.g),
+        "mobius": to_pairs(mobius.g),
         "final_com": [float(v) for v in final_com],
         "certificate": None,
     }

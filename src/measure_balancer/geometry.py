@@ -348,6 +348,8 @@ def flow_rows(z: np.ndarray, d: SpectralDirection, t: float) -> np.ndarray:
 
     No factor exceeds 1, so nothing overflows, and an absent component gets 0.
     """
+    if not np.isfinite(t):
+        raise InvalidInput(f"flow time t must be finite, got {t}")
     y, present, top = _strata(z, d, 0.0)
     exponent = np.where(present, (d.eigenvalues - d.eigenvalues[top][:, None]) * t, -np.inf)
     w = (y * np.exp(np.repeat(exponent, d.multiplicities, axis=1))) @ d.vecs.T
@@ -399,6 +401,8 @@ def random_direction_matrices(count: int, size: int, seed: int = 0) -> np.ndarra
     """
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
+    if size < 2:
+        raise InvalidInput("need size >= 2 for a nontrivial traceless direction")
     x = np.random.Generator(np.random.PCG64(seed)).standard_normal((count, 2, size, size))
     x = x[:, 0] + 1j * x[:, 1]
     h = (x + x.conj().swapaxes(1, 2)) / 2.0

@@ -16,7 +16,6 @@ whose derivative along a direction A at g recovers the momentum pairing
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +30,7 @@ from .geometry import (
     canonical_rows,
     move_rows,
 )
-from .util import canonical_json, complex_to_pair, pair_to_complex
+from .util import canonical_json, parse_json, read_numbers, to_pairs
 
 WEIGHT_SUM_TOL = 1e-6  # weights may drift this far from 1 before renormalizing
 WEIGHT_RENORM_TOL = 1e-12  # weights summing farther than this from 1 are divided by the sum
@@ -62,19 +61,7 @@ class AtomicMeasure:
         if len(atoms) == 0:
             raise InvalidInput("a measure needs at least one atom")
         rows = canonical_rows(atoms)
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        if weights.size != len(rows):
-            raise InvalidInput("points and weights must have equal length")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-            raise InvalidInput("atom weights must be finite and positive")
-        total = float(weights.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidInput(
-                f"atom weights sum to {total!r}, farther than {WEIGHT_SUM_TOL} from 1"
-            )
-        if abs(total - 1.0) > WEIGHT_RENORM_TOL:
-            weights = weights / total
-        rows, weights = _merge_atoms(rows, weights)
+        rows, weights = _merge_atoms(rows, checked_weights(weights, len(rows)))
         rows.flags.writeable = False
         weights.flags.writeable = False
         self.coeffs = rows
@@ -107,13 +94,8 @@ class AtomicMeasure:
     # {"n": int, "atoms": [{"z": [[re, im], ...], "w": weight}, ...]}
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.dim,
-            "atoms": [
-                {"z": [complex_to_pair(v) for v in row], "w": float(w)}
-                for row, w in zip(self.coeffs, self.weights)
-            ],
-        }
+        atoms = zip(to_pairs(self.coeffs), self.weights.tolist())
+        return {"n": self.dim, "atoms": [{"z": z, "w": w} for z, w in atoms]}
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict()) + "\n"
@@ -130,27 +112,32 @@ class AtomicMeasure:
         raw_atoms = data["atoms"]
         if not isinstance(raw_atoms, list) or not raw_atoms:
             raise InvalidInput('"atoms" must be a non-empty list')
-        rows, weights = [], []
         for entry in raw_atoms:
             if not isinstance(entry, dict) or "z" not in entry or "w" not in entry:
                 raise InvalidInput('each atom needs keys "z" and "w"')
-            zpairs = entry["z"]
-            if not isinstance(zpairs, list) or len(zpairs) != n + 1:
+            if not isinstance(entry["z"], list) or len(entry["z"]) != n + 1:
                 raise InvalidInput(f'atom "z" must list n+1 = {n + 1} coordinates')
-            rows.append([pair_to_complex(v) for v in zpairs])
-            w = entry["w"]
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise InvalidInput('atom "w" must be a number')
-            weights.append(float(w))
-        return cls(np.array(rows, dtype=complex), weights)
+        m = len(raw_atoms)
+        z = read_numbers([e["z"] for e in raw_atoms], (m, n + 1, 2), "atoms[{}].z")
+        w = read_numbers([e["w"] for e in raw_atoms], (m,), "atoms[{}].w")
+        return cls(z.view(complex)[..., 0], w)
 
     @classmethod
     def from_json(cls, text: str) -> "AtomicMeasure":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(parse_json(text))
+
+
+def checked_weights(weights, count: int) -> np.ndarray:
+    """``count`` finite positive weights summing to 1 within WEIGHT_SUM_TOL, renormalized."""
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if weights.size != count:
+        raise InvalidInput("points and weights must have equal length")
+    if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
+        raise InvalidInput("atom weights must be finite and positive")
+    total = float(weights.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise InvalidInput(f"atom weights sum to {total!r}, farther than {WEIGHT_SUM_TOL} from 1")
+    return weights / total if abs(total - 1.0) > WEIGHT_RENORM_TOL else weights
 
 
 def _merge_atoms(z, weights):

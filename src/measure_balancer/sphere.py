@@ -15,7 +15,6 @@ the boundary case.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +29,9 @@ from .balancing import (
 )
 from .errors import InvalidInput
 from .geometry import GroupElement, ProjectivePoint
-from .measures import WEIGHT_RENORM_TOL, WEIGHT_SUM_TOL, AtomicMeasure, momentum, pushforward
+from .measures import AtomicMeasure, checked_weights, momentum, pushforward
 from .stability import StabilityKind, classify
-from .util import canonical_json, check_max_iter, check_tol
+from .util import canonical_json, check_max_iter, check_tol, parse_json, read_numbers
 
 POINT_NORM_TOL = 1e-6  # sphere points may drift this far from unit norm
 
@@ -46,24 +45,15 @@ class SphereMeasure:
 
     def __init__(self, points, weights):
         pts = np.asarray(points, dtype=float)
-        w = np.asarray(weights, dtype=float).reshape(-1)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
             raise InvalidInput("sphere points must form a non-empty (m, 3) array")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
+        if not np.all(np.isfinite(pts)):
             raise InvalidInput("sphere measure data must be finite")
-        if w.size != pts.shape[0]:
-            raise InvalidInput("points and weights must have equal length")
-        if np.any(w <= 0.0):
-            raise InvalidInput("weights must be positive")
+        w = checked_weights(weights, pts.shape[0])
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > POINT_NORM_TOL):
             raise InvalidInput("sphere points must have unit norm (within 1e-6)")
         pts = pts / norms[:, None]
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidInput("weights must sum to 1 (within 1e-6)")
-        if abs(total - 1.0) > WEIGHT_RENORM_TOL:
-            w = w / total
         pts.flags.writeable = False
         w.flags.writeable = False
         self.points = pts
@@ -76,12 +66,8 @@ class SphereMeasure:
     # JSON schema: {"atoms": [{"x": [x, y, z], "w": weight}, ...]}
 
     def to_json_dict(self) -> dict:
-        return {
-            "atoms": [
-                {"x": [float(v) for v in x], "w": float(w)}
-                for x, w in zip(self.points, self.weights)
-            ]
-        }
+        atoms = zip(self.points.tolist(), self.weights.tolist())
+        return {"atoms": [{"x": x, "w": w} for x, w in atoms]}
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict()) + "\n"
@@ -93,31 +79,18 @@ class SphereMeasure:
         atoms = data["atoms"]
         if not isinstance(atoms, list) or not atoms:
             raise InvalidInput('"atoms" must be a non-empty list')
-        pts, ws = [], []
         for entry in atoms:
             if not isinstance(entry, dict) or "x" not in entry or "w" not in entry:
                 raise InvalidInput('each sphere atom needs keys "x" and "w"')
-            x = entry["x"]
-            if (
-                not isinstance(x, list)
-                or len(x) != 3
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-            ):
+            if not isinstance(entry["x"], list) or len(entry["x"]) != 3:
                 raise InvalidInput('sphere atom "x" must be a list of 3 numbers')
-            w = entry["w"]
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise InvalidInput('sphere atom "w" must be a number')
-            pts.append([float(v) for v in x])
-            ws.append(float(w))
-        return cls(np.array(pts), np.array(ws))
+        m = len(atoms)
+        x = read_numbers([e["x"] for e in atoms], (m, 3), "atoms[{}].x")
+        return cls(x, read_numbers([e["w"] for e in atoms], (m,), "atoms[{}].w"))
 
     @classmethod
     def from_json(cls, text: str) -> "SphereMeasure":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(parse_json(text))
 
 
 def sphere_rows_to_projective(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Small shared helpers: argument checks, canonical JSON emission and complex
-(de)serialization.
+"""Small shared helpers: argument checks, JSON parsing, canonical JSON emission
+and the one codec of numbers and complex arrays.
 
 All structured output uses 17-significant-digit floats and a stable key
 order so that serialization is deterministic and parse -> serialize is
@@ -8,6 +8,7 @@ byte-for-byte idempotent once the data has been normalized.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -72,42 +73,58 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise InvalidInput(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def complex_to_pair(z) -> list[float]:
-    """Complex scalar -> [re, im] pair."""
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+# The smallest integer that rounds to infinity as a float; every finite float is below it.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
-def pair_to_complex(pair) -> complex:
-    """[re, im] pair -> complex scalar, validating shape and finiteness."""
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise InvalidInput(f"expected [re, im] pair, got {pair!r}")
-    re, im = pair
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-        raise InvalidInput(f"expected numeric [re, im] pair, got {pair!r}")
-    z = complex(float(re), float(im))
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidInput(f"non-finite complex entry: {pair!r}")
-    return z
+def parse_json(text: str):
+    """The one JSON parser of the package: a syntax error is an input error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"invalid JSON: {exc}") from exc
 
 
-def matrix_to_pairs(a: np.ndarray) -> list:
-    """Complex matrix -> nested lists of [re, im] pairs."""
-    return [[complex_to_pair(v) for v in row] for row in np.asarray(a, dtype=complex)]
+def _number_mask(cells: np.ndarray) -> np.ndarray:
+    """Where an object array holds a number: a JSON int or float, not a bool, finite as a float."""
+    flat = cells.reshape(-1)
+    kinds = np.fromiter(map(type, flat), dtype=object, count=flat.size)
+    mask = (kinds == int) | (kinds == float)
+    with np.errstate(invalid="ignore"):  # NaN compares false
+        mask[mask] = np.abs(flat[mask]) < _FLOAT_OVERFLOW
+    return mask.reshape(cells.shape)
 
 
-def pairs_to_matrix(rows) -> np.ndarray:
-    """Nested [re, im] pair lists -> complex matrix, validating rectangularity."""
-    if not isinstance(rows, list) or not rows:
-        raise InvalidInput("expected a non-empty list of matrix rows")
-    width = None
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or not row:
-            raise InvalidInput("matrix rows must be non-empty lists")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InvalidInput("matrix rows have inconsistent lengths")
-        out.append([pair_to_complex(v) for v in row])
-    return np.array(out, dtype=complex)
+def _first_fault(obj, shape: tuple, index: tuple = ()):
+    """Index and value of the first entry of nested lists that breaks ``shape`` or is no number."""
+    if not shape:
+        cell = np.empty((), dtype=object)
+        cell[()] = obj
+        return None if _number_mask(cell) else (index, obj)
+    if not isinstance(obj, list) or len(obj) != shape[0]:
+        return index, obj
+    for i, item in enumerate(obj):
+        fault = _first_fault(item, shape[1:], index + (i,))
+        if fault is not None:
+            return fault
+    return None
+
+
+def read_numbers(obj: list, shape: tuple, name: str) -> np.ndarray:
+    """``shape[0]`` nested JSON lists as a float array of exactly ``shape``, checked in bulk.
+
+    With a trailing 2 (``[re, im]`` pairs), ``.view(complex)[..., 0]`` is the complex array.
+    A fault in entry i is named ``name.format(i)`` followed by its inner indices.
+    """
+    cells = np.array(obj, dtype=object)  # a ragged list leaves another shape
+    if cells.shape == shape and _number_mask(cells).all():
+        return cells.astype(float)
+    index, value = _first_fault(obj, shape)
+    where = name.format(index[0]) + "".join(f"[{i}]" for i in index[1:])
+    expected = "a finite number" if len(index) == len(shape) else f"a list of {shape[len(index)]} numbers"
+    raise InvalidInput(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
+def to_pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs."""
+    return np.stack([a.real, a.imag], -1).tolist()

@@ -6,12 +6,16 @@ hull membership) are written from scratch on purpose — they cross-check the
 package instead of reusing its internals.  The references (`reference_merge`,
 `reference_polystable_decompose`, `reference_torus_lp`, `reference_gram`,
 `reference_lambda_via_flow`, `reference_strata`, `reference_sphere_point`,
-`reference_spectral_decompose`, `reference_random_direction_matrices`) are
-the package's former loop or exhaustive algorithms, kept unchanged so the
-faster replacements can be held to them.
+`reference_spectral_decompose`, `reference_random_direction_matrices`, and the
+per-number JSON codec `reference_pair_to_complex`, `reference_complex_to_pair`,
+`reference_pairs_to_matrix`, `reference_matrix_to_pairs`) are the package's
+former loop or exhaustive algorithms, kept unchanged so the faster
+replacements can be held to them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -462,6 +466,47 @@ def reference_sphere_point(x) -> np.ndarray:
     sin_half = np.sqrt(max(0.0, (1.0 - x[2]) / 2.0))
     phase = np.exp(1j * np.arctan2(x[1], x[0]))
     return ProjectivePoint(np.array([cos_half, phase * sin_half])).coeffs
+
+
+def reference_complex_to_pair(z) -> list[float]:
+    """Complex scalar -> [re, im] pair, as the per-number encoder wrote it."""
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def reference_pair_to_complex(pair) -> complex:
+    """[re, im] pair -> complex scalar, as the per-number decoder read it."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise InvalidInput(f"expected [re, im] pair, got {pair!r}")
+    re, im = pair
+    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        raise InvalidInput(f"expected numeric [re, im] pair, got {pair!r}")
+    z = complex(float(re), float(im))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InvalidInput(f"non-finite complex entry: {pair!r}")
+    return z
+
+
+def reference_matrix_to_pairs(a: np.ndarray) -> list:
+    """Complex matrix -> nested lists of [re, im] pairs, one number at a time."""
+    return [[reference_complex_to_pair(v) for v in row] for row in np.asarray(a, dtype=complex)]
+
+
+def reference_pairs_to_matrix(rows) -> np.ndarray:
+    """Nested [re, im] pair lists -> complex matrix, one pair at a time."""
+    if not isinstance(rows, list) or not rows:
+        raise InvalidInput("expected a non-empty list of matrix rows")
+    width = None
+    out = []
+    for row in rows:
+        if not isinstance(row, list) or not row:
+            raise InvalidInput("matrix rows must be non-empty lists")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise InvalidInput("matrix rows have inconsistent lengths")
+        out.append([reference_pair_to_complex(v) for v in row])
+    return np.array(out, dtype=complex)
 
 
 def in_hull(x: np.ndarray, points: np.ndarray, tol: float = 1e-9) -> bool:

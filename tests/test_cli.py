@@ -398,6 +398,25 @@ def test_balance_target_on_unstable_is_input_error(
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["true", "1" + "0" * 400], ids=["bool", "huge-int"])
+@pytest.mark.parametrize("command", ["classify", "weight --direction", "balance --target", "sphere com"])
+def test_a_bool_or_an_over_large_integer_is_an_input_error(tmp_path, stable_file, command, value, capsys):
+    path = str(tmp_path / "doc.json")
+    document, where, argv = {  # the number V in a document, its place, and the command reading it
+        "classify": ('{"n": 1, "atoms": [{"z": [[1, 0], [V, 0]], "w": 1}]}', "atoms[0].z[1][0]",
+                     ["classify", path]),
+        "weight --direction": ('{"a": [[[V, 0], [0, 0]], [[0, 0], [-1, 0]]]}', "a[0][0][0]",
+                               ["weight", stable_file, "--direction", path]),
+        "balance --target": ('{"rho": [[[0.6, 0], [0, 0]], [[0, 0], [0.4, V]]]}', "rho[1][1][1]",
+                             ["balance", stable_file, "--target", path]),
+        "sphere com": ('{"atoms": [{"x": [0, V, 1], "w": 1}]}', "atoms[0].x[1]", ["sphere", path, "com"]),
+    }[command]
+    Path(path).write_text(document.replace("V", value), encoding="utf-8")
+    assert main(argv) == 2
+    assert f"error: {where} must be a finite number, got {value}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sphere
 

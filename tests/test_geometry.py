@@ -278,6 +278,15 @@ def test_sampler_rejects_a_negative_seed():
         random_direction_matrices(3, 2, seed=-1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [0, 1])
+def test_sampler_rejects_a_size_below_two_before_drawing(size):
+    with pytest.raises(InvalidInput, match="size >= 2"):
+        random_direction_matrices(3, size)
+    with pytest.raises(InvalidInput, match="size >= 2"):
+        random_directions(3, size - 1)
+
+
 def test_direction_from_projectors_recovers_the_eigenvector_columns():
     d = random_directions(1, 3, seed=23)[0]
     d2 = direction_from_projectors(d.eigenvalues, d.projectors, d.multiplicities)
@@ -326,6 +335,14 @@ def test_flow_point_converges_to_flow_limit():
     p = random_point(r, 4)
     _, limit = flow_limit(p, d)
     assert flow_point(p, d, 60.0).isclose(limit, tol=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_flow_point_rejects_a_non_finite_time(t):
+    d = spectral_decompose(np.diag([1.0, -1.0]))
+    with pytest.raises(InvalidInput, match="flow time t must be finite"):
+        flow_point(ProjectivePoint([1.0, 1.0]), d, t)
 
 
 def test_flow_point_never_overflows_for_large_times():

@@ -289,9 +289,18 @@ def test_json_serialization_is_byte_idempotent():
     assert text1 == text2
 
 
+@pytest.mark.filterwarnings("error")
 def test_from_json_rejects_malformed_documents():
     with pytest.raises(InvalidInput):
         AtomicMeasure.from_json("not json at all {")
+    huge = "1" + "0" * 400  # an integer literal beyond the float range
+    for value in ("true", "false", huge, "-" + huge, '"1.0"', "null", "NaN", "Infinity", "[1]"):
+        with pytest.raises(InvalidInput, match=r"atoms\[0\]\.z\[1\]\[0\] must be a finite number"):
+            AtomicMeasure.from_json(f'{{"n": 1, "atoms": [{{"z": [[1, 0], [{value}, 0]], "w": 1}}]}}')
+        with pytest.raises(InvalidInput, match=r"atoms\[0\]\.w must be a finite number"):
+            AtomicMeasure.from_json(f'{{"n": 1, "atoms": [{{"z": [[1, 0], [0, 0]], "w": {value}}}]}}')
+    with pytest.raises(InvalidInput, match=r"atoms\[0\]\.z\[1\] must be a list of 2 numbers"):
+        AtomicMeasure.from_json('{"n": 1, "atoms": [{"z": [[1, 0], [0, 0, 0]], "w": 1}]}')
     with pytest.raises(InvalidInput):
         AtomicMeasure.from_json_dict({"atoms": []})  # missing n
     with pytest.raises(InvalidInput):

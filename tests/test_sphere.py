@@ -170,11 +170,32 @@ def test_sphere_json_round_trip_is_byte_idempotent():
     assert text1 == text2
 
 
+@pytest.mark.filterwarnings("error")
 def test_sphere_json_rejects_malformed():
     with pytest.raises(InvalidInput):
         SphereMeasure.from_json("[1, 2, 3]")
     with pytest.raises(InvalidInput):
         SphereMeasure.from_json('{"atoms": [{"x": [1.0, 0.0], "w": 1.0}]}')
+    with pytest.raises(InvalidInput, match='sphere atom "x" must be a list of 3 numbers'):
+        SphereMeasure.from_json('{"atoms": [{"x": [0, 0, 1, 0], "w": 1}]}')
+    huge = "1" + "0" * 400  # an integer literal beyond the float range
+    for value in ("true", "false", huge, "-" + huge, '"1.0"', "null", "NaN", "-Infinity", "[0]"):
+        with pytest.raises(InvalidInput, match=r"atoms\[0\]\.x\[1\] must be a finite number"):
+            SphereMeasure.from_json(f'{{"atoms": [{{"x": [0, {value}, 1], "w": 1}}]}}')
+        with pytest.raises(InvalidInput, match=r"atoms\[0\]\.w must be a finite number"):
+            SphereMeasure.from_json(f'{{"atoms": [{{"x": [0, 0, 1], "w": {value}}}]}}')
+
+
+def test_sphere_and_projective_measures_share_the_weight_rule():
+    for weights in ([0.7, 0.7], [1.0, -0.0], [np.nan, 1.0], [1.0], [0.5, 0.5 + 2e-6]):
+        with pytest.raises(InvalidInput) as projective:
+            AtomicMeasure(np.eye(2), weights)
+        with pytest.raises(InvalidInput) as spherical:
+            sphere_measure([NORTH, SOUTH], weights)
+        assert str(spherical.value) == str(projective.value)
+    drift = [0.5, 0.5 + 1e-9]  # within WEIGHT_SUM_TOL: divided by the sum
+    spherical = sphere_measure([NORTH, SOUTH], drift).weights
+    assert spherical.tobytes() == AtomicMeasure(np.eye(2), drift).weights.tobytes()
 
 
 # ---------------------------------------------------------------------------
