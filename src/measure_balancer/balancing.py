@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateHull,
@@ -73,9 +72,21 @@ GRAM_COND_LIMIT = 1e14  # cond(Gram) beyond this stops a target solve
 TORUS_SUPPORT_TOL = 1e-12  # |z_ij| above this puts coordinate j in atom i's support
 TORUS_LP_FLOOR = 1e-9  # interiority LP floor delta at or below this: not interior
 MIN_DAMPING = 2.0**-10
+# The fixed point accepts a damped step whose residual is at most
+# residual + max(ACCEPT_BAND_REL * residual, ACCEPT_BAND_ABS).
+ACCEPT_BAND_REL = 1e-9
+ACCEPT_BAND_ABS = 1e-14
 MIN_STEP = 2.0**-40
 ARMIJO_C = 1e-4
 OBJECTIVE_RESOLUTION = 1e-14  # a decrease below this * max(1, |objective|) is unresolvable
+# Target state checks: ||rho - rho*||_F relative to max(1, ||rho||_F), |tr rho - 1|,
+# and the smallest eigenvalue a positive definite target must reach.
+TARGET_HERMITIAN_TOL = 1e-12
+TARGET_TRACE_TOL = 1e-8
+TARGET_MIN_EIGENVALUE = 1e-10
+TORUS_BETA_SUM_TOL = 1e-9  # |sum beta| above this is InvalidInput
+TORUS_UNREACHABLE_TOL = 1e-12  # a target coordinate above this needs an atom touching it
+HULL_DISTINCT_TOL = 1e-12  # vertex images within this (max norm) are one point
 
 
 @dataclass(eq=False)
@@ -234,7 +245,7 @@ def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
             else:
                 cand = _det_normalize((1.0 - damping) * s + damping * s_prop)
             out = _tyler_state(z, w, cand)
-            accept_band = residual + max(1e-9 * residual, 1e-14)
+            accept_band = residual + max(ACCEPT_BAND_REL * residual, ACCEPT_BAND_ABS)
             if out[3] <= accept_band or damping <= MIN_DAMPING:
                 break
             damping /= 2.0
@@ -318,8 +329,9 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
     trace = []
     verdict = VERDICT_MAX_ITERATIONS
     iterations = max_iter
+    state = _moved_state(z, w, g)
     for it in range(max_iter + 1):
-        _, mom, residual, energy = _moved_state(z, w, g)
+        _, mom, residual, energy = state
         trace.append((it, residual, energy))
         if residual <= tol:
             verdict = VERDICT_CONVERGED
@@ -341,15 +353,18 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
 
         def trial(step):
             g_try = herm_exp(-step * mom) @ g
-            _, _, residual_try, energy_try = _moved_state(z, w, g_try)
-            return g_try, energy_try, residual_try
+            out = _moved_state(z, w, g_try)
+            return (g_try, out), out[3], out[2]
 
         # -d/ds Psi along the steepest direction is residual^2
-        g_try = _line_search(trial, energy, residual, residual * residual)
-        if g_try is None:  # flat to machine precision; cannot make progress
+        found = _line_search(trial, energy, residual, residual * residual)
+        if found is None:  # flat to machine precision; cannot make progress
             iterations = it
             break
+        g_try, state = found
         g = GroupElement(g_try).g
+        if not np.array_equal(g, g_try):  # renormalized: the trial state is not g's
+            state = _moved_state(z, w, g)
     s_half = _herm_sqrt(_det_normalize(g.conj().T @ g))
     _, mom, residual, _ = _moved_state(z, w, s_half)
     return BalanceResult(
@@ -426,14 +441,14 @@ def _validate_target(rho, k: int) -> np.ndarray:
         raise InvalidInput(f"target state must be a {k}x{k} matrix")
     if not np.all(np.isfinite(rho)):
         raise InvalidInput("target state entries must be finite")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-12 * max(1.0, np.linalg.norm(rho)):
+    if np.linalg.norm(rho - rho.conj().T) > TARGET_HERMITIAN_TOL * max(1.0, np.linalg.norm(rho)):
         raise InvalidInput("target state must be Hermitian")
     rho = (rho + rho.conj().T) / 2.0
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if abs(np.trace(rho).real - 1.0) > TARGET_TRACE_TOL:
         raise InvalidInput("target state must have unit trace")
-    if np.linalg.eigvalsh(rho)[0] < 1e-10:
+    if np.linalg.eigvalsh(rho)[0] < TARGET_MIN_EIGENVALUE:
         raise NotPositiveTarget(
-            "target state must be positive definite (eigenvalues >= 1e-10)"
+            f"target state must be positive definite (eigenvalues >= {TARGET_MIN_EIGENVALUE:g})"
         )
     return rho
 
@@ -516,6 +531,15 @@ def solve_target(
 # torus solver
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first LP: only the torus
+    precheck and polytope_centroid_shift solve one, and the import costs
+    more than most CLI calls."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _sum_zero_basis(k: int) -> np.ndarray:
     """Orthonormal basis (columns) of the sum-zero subspace of R^k."""
     full = np.eye(k)
@@ -558,7 +582,7 @@ def _check_torus_target(w, support, p_target):
     certified by an LP maximizing the floor delta of all support
     coordinates q_ij >= delta.
     """
-    unreachable = ~support.any(axis=0) & (np.abs(p_target) > 1e-12)
+    unreachable = ~support.any(axis=0) & (np.abs(p_target) > TORUS_UNREACHABLE_TOL)
     if unreachable.any():
         raise TargetOutsidePolytope(
             f"coordinate {int(np.argmax(unreachable))} is unreachable (no atom touches it)"
@@ -595,7 +619,7 @@ def torus_solve(
         raise InvalidInput(f"beta must have n+1 = {k} components")
     if not np.all(np.isfinite(beta)):
         raise InvalidInput("beta components must be finite")
-    if abs(beta.sum()) > 1e-9:
+    if abs(beta.sum()) > TORUS_BETA_SUM_TOL:
         raise InvalidInput("beta components must sum to zero")
     beta = beta - beta.sum() / k
     p_target = beta + 1.0 / k
@@ -689,7 +713,7 @@ def polytope_centroid_shift(vertex_images) -> np.ndarray:
         raise InvalidInput("vertex images must be finite")
     distinct: list[np.ndarray] = []
     for row in pts:
-        if not any(np.max(np.abs(row - q)) <= 1e-12 for q in distinct):
+        if not any(np.max(np.abs(row - q)) <= HULL_DISTINCT_TOL for q in distinct):
             distinct.append(row)
     if len(distinct) == 1:
         raise DegenerateHull("all vertex images coincide")

@@ -27,7 +27,12 @@ from .errors import EmptySpan, InvalidInput, NumericalDegeneracy, ZeroDirection
 # Tolerances (absolute unless noted): constants, not per-call options.
 PHASE_PIVOT_TOL = 1e-12  # |z_i| above this counts as the phase pivot
 NORM_SKIP_TOL = 1e-14  # skip renormalization when already unit to this
+# Direction checks; the first two are relative to max(1, ||a||_F).
 HERMITIAN_TOL = 1e-12  # ||a - a*||_F allowed when validating directions
+TRACELESS_TOL = 1e-10  # |tr a| allowed when validating directions
+ZERO_DIRECTION_TOL = 1e-14  # ||a||_F below this is a zero direction
+MOMENTUM_TOL = 1e-13  # ||m - m*||_F and |tr m| allowed, relative to max(1, ||m||_F)
+DET_ONE_TOL = 1e-13  # |det g - 1| above this renormalizes a group element
 CLUSTER_TOL = 1e-10  # relative eigenvalue gap that separates clusters
 COMPONENT_TOL = 1e-12  # spectral component norm that counts as present
 MIN_VECTOR_NORM = 1e-150  # below this a vector is treated as numerically zero
@@ -116,9 +121,9 @@ class MomentumMatrix:
         m = np.asarray(self.m, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput("momentum value must be a square matrix")
-        if np.linalg.norm(m - m.conj().T) > 1e-13 * max(1.0, np.linalg.norm(m)):
+        if np.linalg.norm(m - m.conj().T) > MOMENTUM_TOL * max(1.0, np.linalg.norm(m)):
             raise InvalidInput("momentum value must be Hermitian")
-        if abs(np.trace(m)) > 1e-13 * max(1.0, np.linalg.norm(m)):
+        if abs(np.trace(m)) > MOMENTUM_TOL * max(1.0, np.linalg.norm(m)):
             raise InvalidInput("momentum value must be traceless")
         m.flags.writeable = False
         self.m = m
@@ -158,7 +163,7 @@ class GroupElement:
                 raise InvalidInput("group element determinant overflows")
             if abs(det) < MIN_VECTOR_NORM:
                 raise InvalidInput("group element must be invertible")
-            if abs(det - 1.0) > 1e-13:
+            if abs(det - 1.0) > DET_ONE_TOL:
                 g = g * det ** (-1.0 / g.shape[0])
                 if not np.all(np.isfinite(g)):
                     raise InvalidInput("normalized group element entries must be finite")
@@ -278,14 +283,14 @@ def spectral_decompose_stack(mats) -> list[SpectralDirection]:
         raise InvalidInput("direction entries must be finite")
     count, k = a.shape[:2]
     scale = _frobenius(a)
-    if (scale < 1e-14).any():
+    if (scale < ZERO_DIRECTION_TOL).any():
         raise ZeroDirection("direction matrix has (numerically) zero norm")
     adj = a.conj().swapaxes(1, 2)
     if (_frobenius(a - adj) > HERMITIAN_TOL * np.maximum(1.0, scale)).any():
         raise InvalidInput("direction matrix must be Hermitian")
     a = (a + adj) / 2.0
     tr = np.trace(a, axis1=1, axis2=2).real
-    if (np.abs(tr) > 1e-10 * np.maximum(1.0, scale)).any():
+    if (np.abs(tr) > TRACELESS_TOL * np.maximum(1.0, scale)).any():
         raise InvalidInput("direction matrix must be traceless")
     a = a - np.eye(k) * (tr / k + 0.0)[:, None, None]  # + 0.0: -0.0 would flip signed zeros
     a.flags.writeable = False

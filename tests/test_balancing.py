@@ -183,6 +183,32 @@ def test_descent_detects_divergence():
     assert res.certificate.mass == pytest.approx(0.9, abs=1e-6)
 
 
+@pytest.mark.parametrize("seed, n", [(52, 2), (53, 3), (55, 1)])
+def test_descent_evaluates_each_accepted_iterate_once(seed, n, monkeypatch):
+    # The state of an accepted trial point is the next iterate's state, so
+    # the only other evaluations are the start and the balanced square root.
+    calls = {"states": 0, "trials": 0}
+    moved_state, line_search = balancing._moved_state, balancing._line_search
+
+    def counted_state(*args):
+        calls["states"] += 1
+        return moved_state(*args)
+
+    def counted_search(trial, *args):
+        def counted_trial(step):
+            calls["trials"] += 1
+            return trial(step)
+
+        return line_search(counted_trial, *args)
+
+    monkeypatch.setattr(balancing, "_moved_state", counted_state)
+    monkeypatch.setattr(balancing, "_line_search", counted_search)
+    res = balance(stable_measure(rng(seed), n), method="geodesic-descent")
+    assert res.verdict == VERDICT_CONVERGED
+    assert calls["trials"] >= res.iterations > 0
+    assert calls["states"] == calls["trials"] + 2
+
+
 def test_balance_accepts_custom_start():
     r = rng(54)
     nu = stable_measure(r, 2)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import measure_balancer
-from measure_balancer import AtomicMeasure, ProjectivePoint, SphereMeasure, stability
+from measure_balancer import AtomicMeasure, ProjectivePoint, SphereMeasure, cli, stability
 from measure_balancer.cli import main
 
 from helpers import near_hyperplane_cloud, random_vector, rng, stable_measure, torus_gradient
@@ -602,6 +602,66 @@ def test_classify_output_is_byte_identical_across_runs(tmp_path, capsys):
     main(["classify", str(path), "--decompose"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, scipy.optimize on the first LP
+
+
+def test_calls_on_the_one_parser_do_not_leak_into_each_other(tmp_path, stable_file, capsys):
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", stable_file, "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["classify", stable_file]) == 0
+    assert json_tail(capsys.readouterr().out)["decomposition"] is None
+
+    assert main(["classify", "--decompose", stable_file]) == 0
+    assert len(json_tail(capsys.readouterr().out)["decomposition"]["blocks"]) == 1
+    assert main(["classify", stable_file]) == 0  # --decompose does not stick
+    assert json_tail(capsys.readouterr().out)["decomposition"] is None
+
+    assert main(["decompose", stable_file]) == 0
+    capsys.readouterr()
+    assert main(["classify", stable_file]) == 0  # nor does decompose's default
+    assert json_tail(capsys.readouterr().out)["decomposition"] is None
+
+    eps = 5e-10
+    near = write_measure(tmp_path, "near.json", [[1.0, 0.0], [0.0, 1.0]], [0.5 - eps, 0.5 + eps])
+    assert main(["classify", "--strict", near]) == 12
+    assert main(["classify", near]) == 10  # --strict does not stick
+    assert main(["decompose", near]) == 10
+    capsys.readouterr()
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded(tmp_path):
+    nu = AtomicMeasure(
+        [ProjectivePoint([1.0, 0.0]), ProjectivePoint([0.0, 1.0]), ProjectivePoint([1.0, 1.0])],
+        [0.34, 0.33, 0.33],
+    )
+    path = tmp_path / "m.json"
+    path.write_text(nu.to_json(), encoding="utf-8")
+    package_root = Path(measure_balancer.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import measure_balancer.cli\n"
+        "import measure_balancer\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "code = measure_balancer.cli.main(['torus', sys.argv[2], '--beta', '0.1,-0.1'])\n"
+        "print('scipy.optimize' in sys.modules, code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(package_root), str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "True 0"
+    assert json_tail("\n".join(lines[1:-1]))["converged"] is True
 
 
 def project_scripts() -> dict:

@@ -101,3 +101,11 @@ def test_the_summary_gives_each_kind_its_differing_ops_and_largest_number_differ
         "torus: 1 of 2 ops differ",  # an exit code has no numeric difference
         "weight: 2 of 3 ops differ, largest numeric difference 0.01",
     ]
+
+
+def test_the_runs_cover_every_benchmark_workload_on_two_seeds(monkeypatch):
+    monkeypatch.syspath_prepend(str(_PATH.parents[1] / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    assert {name for name, _ in cli_diff.RUNS} == set(inputs.WORKLOADS)
+    for name in inputs.WORKLOADS:
+        assert sorted(seed for run, seed in cli_diff.RUNS if run == name) == [1, 2]

@@ -2,8 +2,8 @@
 
     python3 tools/cli_diff.py OTHER_CHECKOUT
 
-Runs every op of the ``balance-large`` and ``solve-mix`` benchmark
-workloads, seeds 1 and 2, through ``measure_balancer.cli.main`` of each
+Runs every op of the ``classify-small``, ``balance-large`` and ``solve-mix``
+benchmark workloads, seeds 1 and 2, through ``measure_balancer.cli.main`` of each
 checkout: one subprocess per checkout, importing the package from its
 ``src/``, with BLAS on one thread.  Both sides get the same inputs, drawn
 by this checkout's ``perfbench/inputs.py``.  Prints the op, its kind and
@@ -26,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = (("balance-large", 1), ("balance-large", 2), ("solve-mix", 1), ("solve-mix", 2))
+RUNS = tuple((name, seed) for name in ("classify-small", "balance-large", "solve-mix") for seed in (1, 2))
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 # Run in a fresh interpreter: argv is (checkout, perfbench dir, work dir, out file).
