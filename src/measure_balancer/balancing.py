@@ -9,7 +9,8 @@ becomes the fixed-point condition
 
 iterated directly (the default), or the Kempf-Ness energy
 Psi(nu, g) = sum w_i log||g z_i|| is minimized by geodesic steepest descent
-g <- exp(-s F(g.nu)) g with Armijo backtracking.  A stable measure has a
+g <- exp(-s c F(g.nu)) g with Armijo backtracking on s, the scale c the
+Barzilai-Borwein ratio of the last step.  A stable measure has a
 unique balanced S; an unstable or boundary-semistable one drives cond(S) to
 infinity, certified by the subspace its small eigenvectors collapse onto.
 The fixed point looks for that subspace at iterations 1, 2, 4, 8, ... and
@@ -71,6 +72,7 @@ CERT_EXCESS_TOL = 1e-9
 GRAM_COND_LIMIT = 1e14  # cond(Gram) beyond this stops a target solve
 TORUS_SUPPORT_TOL = 1e-12  # |z_ij| above this puts coordinate j in atom i's support
 TORUS_LP_FLOOR = 1e-9  # interiority LP floor delta at or below this: not interior
+TORUS_HESSIAN_RIDGE = 1e-14  # ridge on the reduced torus Hessian, times max(1, max |entry|)
 MIN_DAMPING = 2.0**-10
 # The fixed point accepts a damped step whose residual is at most
 # residual + max(ACCEPT_BAND_REL * residual, ACCEPT_BAND_ABS).
@@ -310,6 +312,32 @@ def _moved_state(z, w, g, beta=None):
     return unit, mom, residual, energy
 
 
+def _step_scale(mom: np.ndarray, last) -> float:
+    """The scale of the next descent step: the Barzilai-Borwein ratio.
+
+    With dx = -t F_prev the last accepted step (t its step times its scale)
+    and dy = F - F_prev, the ratio is <dx, dx> / <dx, dy>; it is 1 on the
+    first step and when <dx, dy> <= 0 or the ratio is not finite.  It is
+    capped so that a full step exp(-scale F) takes cond(g* g) up by at most
+    COND_LIMIT.
+    """
+    scale = 1.0
+    if last is not None:
+        mom_prev, t = last
+        dx = -t * mom_prev
+        curvature = float(np.vdot(dx, mom - mom_prev).real)  # Re tr(dx dy)
+        if curvature > 0.0:
+            ratio = float(np.vdot(dx, dx).real) / curvature
+            if np.isfinite(ratio):
+                scale = ratio
+    vals = np.linalg.eigvalsh(mom)
+    spread = float(vals[-1] - vals[0])
+    half_log_cond = 0.5 * np.log(COND_LIMIT)
+    if scale * spread > half_log_cond:
+        scale = half_log_cond / spread
+    return scale
+
+
 def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
     k = nu.dim + 1
     z = nu.coeff_matrix()
@@ -330,6 +358,7 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
     verdict = VERDICT_MAX_ITERATIONS
     iterations = max_iter
     state = _moved_state(z, w, g)
+    last = None  # (momentum, step * scale) of the last accepted step
     for it in range(max_iter + 1):
         _, mom, residual, energy = state
         trace.append((it, residual, energy))
@@ -350,21 +379,24 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
             )
         if it == max_iter:
             break
+        scale = _step_scale(mom, last)
 
         def trial(step):
-            g_try = herm_exp(-step * mom) @ g
-            out = _moved_state(z, w, g_try)
-            return (g_try, out), out[3], out[2]
+            # renormalized here, so the trial state is the next iterate's
+            try:
+                g_try = GroupElement(herm_exp(-step * scale * mom) @ g).g
+                out = _moved_state(z, w, g_try)
+            except (InvalidInput, NumericalDegeneracy):  # overflowed or singular
+                return None
+            return (g_try, out, step * scale), out[3], out[2]
 
-        # -d/ds Psi along the steepest direction is residual^2
-        found = _line_search(trial, energy, residual, residual * residual)
+        # -d/ds Psi along -scale F is scale * residual^2
+        found = _line_search(trial, energy, residual, scale * residual * residual)
         if found is None:  # flat to machine precision; cannot make progress
             iterations = it
             break
-        g_try, state = found
-        g = GroupElement(g_try).g
-        if not np.array_equal(g, g_try):  # renormalized: the trial state is not g's
-            state = _moved_state(z, w, g)
+        g, state, t = found
+        last = (mom, t)
     s_half = _herm_sqrt(_det_normalize(g.conj().T @ g))
     _, mom, residual, _ = _moved_state(z, w, s_half)
     return BalanceResult(
@@ -655,7 +687,7 @@ def torus_solve(
             break
         hess = 2.0 * (np.diag(w @ p) - p.T @ (w[:, None] * p))
         hred = reduced.T @ hess @ reduced
-        hred = hred + np.eye(k - 1) * 1e-14 * max(1.0, float(np.abs(hred).max()))
+        hred = hred + np.eye(k - 1) * TORUS_HESSIAN_RIDGE * max(1.0, float(np.abs(hred).max()))
         try:
             dred = np.linalg.solve(hred, -(reduced.T @ resvec))
         except np.linalg.LinAlgError:

@@ -181,6 +181,15 @@ def unstable_measure(
     return nu, inside, mass_in, d
 
 
+# (n, seed) sweeps for the balancers: unstable_measure on n = 2 with seeds
+# 0-39 and n = 1, 3, 4 with seeds 0-9; stable_measure on n = 1-4 with seeds
+# 0-9 and n = 5-8 with seeds 0-4.
+PLANTED_SWEEP = [(2, s) for s in range(40)] + [(n, s) for n in (1, 3, 4) for s in range(10)]
+STABLE_SWEEP = [(n, s) for n in range(1, 5) for s in range(10)] + [
+    (n, s) for n in range(5, 9) for s in range(5)
+]
+
+
 def polystable_measure(
     r: np.random.Generator, n: int, move: bool = True
 ) -> tuple[AtomicMeasure, list[int]]:

@@ -1,5 +1,7 @@
 """Balancing solvers: fixed point, geodesic descent, targets, torus, centroid."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,8 @@ from measure_balancer import balancing
 from measure_balancer.balancing import DEFAULT_MAX_ITER, _torus_lp
 
 from helpers import (
+    PLANTED_SWEEP,
+    STABLE_SWEEP,
     bisection_torus_n1,
     certified_excess,
     direct_momentum_residual,
@@ -177,22 +181,32 @@ def test_descent_energy_is_monotone_nonincreasing():
 
 def test_descent_detects_divergence():
     nu = measure_on([[1.0, 0.0], [0.0, 1.0]], [0.9, 0.1])
-    res = balance(nu, method="geodesic-descent")
+    # The step scale is capped by COND_LIMIT: uncapped, a Barzilai-Borwein
+    # step on these two atoms overflows herm_exp and descent stalls.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = balance(nu, method="geodesic-descent")
     assert res.verdict == VERDICT_DIVERGED
     assert res.certificate is not None
     assert res.certificate.mass == pytest.approx(0.9, abs=1e-6)
 
 
-@pytest.mark.parametrize("seed, n", [(52, 2), (53, 3), (55, 1)])
-def test_descent_evaluates_each_accepted_iterate_once(seed, n, monkeypatch):
-    # The state of an accepted trial point is the next iterate's state, so
-    # the only other evaluations are the start and the balanced square root.
+@pytest.mark.parametrize(
+    "case", [(52, 2), (53, 3), (55, 1), "diverging"], ids=["52-2", "53-3", "55-1", "diverging"]
+)
+def test_descent_evaluates_each_accepted_iterate_once(case, monkeypatch):
+    # The state of an accepted trial point is the next iterate's state, also
+    # when the trial renormalized det g (frequent as g degenerates), so the
+    # only other evaluations are the start and, on convergence, the balanced
+    # square root; no point is evaluated twice.
     calls = {"states": 0, "trials": 0}
+    points = set()
     moved_state, line_search = balancing._moved_state, balancing._line_search
 
-    def counted_state(*args):
+    def counted_state(z, w, g, *args):
         calls["states"] += 1
-        return moved_state(*args)
+        points.add(g.tobytes())
+        return moved_state(z, w, g, *args)
 
     def counted_search(trial, *args):
         def counted_trial(step):
@@ -203,10 +217,18 @@ def test_descent_evaluates_each_accepted_iterate_once(seed, n, monkeypatch):
 
     monkeypatch.setattr(balancing, "_moved_state", counted_state)
     monkeypatch.setattr(balancing, "_line_search", counted_search)
-    res = balance(stable_measure(rng(seed), n), method="geodesic-descent")
-    assert res.verdict == VERDICT_CONVERGED
+    if case == "diverging":
+        nu, *_ = unstable_measure(rng(6), 2)
+        res = balance(nu, method="geodesic-descent")
+        assert res.verdict == VERDICT_DIVERGED
+        last = 1  # the start; a diverged run ends without the square root
+    else:
+        res = balance(stable_measure(rng(case[0]), case[1]), method="geodesic-descent")
+        assert res.verdict == VERDICT_CONVERGED
+        last = 2
     assert calls["trials"] >= res.iterations > 0
-    assert calls["states"] == calls["trials"] + 2
+    assert calls["states"] == calls["trials"] + last
+    assert len(points) == calls["states"]
 
 
 def test_balance_accepts_custom_start():
@@ -545,23 +567,56 @@ def test_classifier_and_balancers_agree_on_the_rank_near_a_hyperplane(n, eps):
 # divergence certificates
 
 METHODS = ("fixed-point", "geodesic-descent")
-# n = 2 with seeds 0-39 and n = 1, 3, 4 with seeds 0-9
-PLANTED = [(2, s) for s in range(40)] + [(n, s) for n in (1, 3, 4) for s in range(10)]
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_planted_unstable_measures_are_certified_within_the_cap(method):
     stops = []
-    for n, seed in PLANTED:
-        nu, *_ = unstable_measure(rng(seed), n)
-        res = balance(nu, method=method)
-        assert res.verdict == VERDICT_DIVERGED, (n, seed, res.verdict)
-        assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
-        stops.append(res.iterations)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a long descent step must not overflow
+        for n, seed in PLANTED_SWEEP:
+            nu, *_ = unstable_measure(rng(seed), n)
+            res = balance(nu, method=method)
+            assert res.verdict == VERDICT_DIVERGED, (n, seed, res.verdict)
+            assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+            stops.append(res.iterations)
     if method == "fixed-point":
         # every stop is a checkpoint scan: iteration 2^j or the cap
         assert all(it & (it - 1) == 0 or it == DEFAULT_MAX_ITER for it in stops)
         assert np.median(stops) <= 64
+    else:
+        assert max(stops) <= 64
+
+
+def test_descent_converges_on_the_stable_sweep_with_a_monotone_energy():
+    for n, seed in STABLE_SWEEP:
+        res = balance(stable_measure(rng(seed), n), method="geodesic-descent")
+        assert res.verdict == VERDICT_CONVERGED, (n, seed, res.verdict)
+        assert res.iterations <= 128, (n, seed)
+        energies = np.array([row[2] for row in res.trace])
+        slack = balancing.OBJECTIVE_RESOLUTION * np.maximum(1.0, np.abs(energies[:-1]))
+        assert np.all(np.diff(energies) <= slack), (n, seed)
+
+
+# Unstable inputs on which the fixed point still runs to its cap, found by an
+# exact classification of Gaussian-integer atoms with rational weights.
+FIXED_POINT_STALLS = [
+    ([[-1, 2], [1 + 1j, -1]], [5 / 12, 7 / 12]),
+    ([[0, -1j, 0], [1, 1j, 1 + 1j], [1, -1, 1]], [1 / 3, 5 / 12, 1 / 4]),
+    (
+        [[0, -1, 1, 1], [0, -1, -1j, -1j], [2, 0, 0, 0], [1, 1j, 1 + 1j, -1j], [-1j, 1, 2, 2]],
+        [1 / 5] * 5,
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, weights", FIXED_POINT_STALLS, ids=["n1", "n2", "n3"])
+def test_descent_certifies_the_fixed_point_stalls(rows, weights):
+    nu = measure_on(np.array(rows, dtype=complex), weights)
+    res = balance(nu, method="geodesic-descent")
+    assert res.verdict == VERDICT_DIVERGED
+    assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+    assert res.iterations <= 64
 
 
 @pytest.mark.parametrize("n", [2, 3])

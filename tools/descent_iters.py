@@ -1,0 +1,130 @@
+"""Geodesic-descent iterations and verdicts, this checkout against another one.
+
+    python3 tools/descent_iters.py OTHER_CHECKOUT
+
+Runs ``balance(nu, method="geodesic-descent")`` of each checkout on:
+
+- every ``--method geodesic-descent`` op of the ``balance-large`` workload
+  (seed 1) and of the ``solve-mix`` workload (seeds 1, 2 and 17);
+- the planted-unstable sweep and the stable sweep of ``tests/helpers.py``
+  (``PLANTED_SWEEP``, ``STABLE_SWEEP``).
+
+One subprocess per checkout imports the package from its ``src/``, with
+BLAS on one thread.  Both sides read the same measure documents, drawn by
+this checkout's ``perfbench/inputs.py`` and ``tests/helpers.py``.  Each input
+is run ``REPEATS`` times; its wall time is the minimum.  Prints one JSON
+document: per input its iterations, verdict and milliseconds on each side,
+and per group the sums.  Exits 1 if a verdict differs, 0 if none does.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = (("balance-large", 1), ("solve-mix", 1), ("solve-mix", 2), ("solve-mix", 17))
+REPEATS = 3
+
+# Run in a fresh interpreter: argv is (checkout, inputs file, out file).
+_WORKER = """
+import json, sys, time
+checkout, in_path, out_path = sys.argv[1:4]
+sys.path.insert(0, checkout + "/src")
+from measure_balancer import AtomicMeasure, balance
+with open(in_path, encoding="utf-8") as fh:
+    cases = json.load(fh)
+rows = []
+for case in cases:
+    nu = AtomicMeasure.from_json(case["measure"])
+    best = float("inf")
+    for _ in range(int(sys.argv[4])):
+        t0 = time.perf_counter()
+        res = balance(nu, method="geodesic-descent")
+        best = min(best, time.perf_counter() - t0)
+    rows.append({"iterations": res.iterations, "verdict": res.verdict, "ms": round(1e3 * best, 3)})
+with open(out_path, "w", encoding="utf-8") as fh:
+    json.dump(rows, fh)
+"""
+
+
+def cases() -> list:
+    """(group, label, measure document) for every input, in a fixed order."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(ROOT / "tests"))
+    import helpers
+    import inputs
+
+    found = []
+    for name, seed in RUNS:
+        wl = inputs.make_workload(name, seed)
+        for op in wl.ops:
+            if op.argv[0] == "balance" and "geodesic-descent" in op.argv:
+                found.append((name, f"{name}/{seed}/{op.op_id}", wl.files[op.argv[1]].decode()))
+    for n, seed in helpers.PLANTED_SWEEP:
+        nu, *_ = helpers.unstable_measure(helpers.rng(seed), n)
+        found.append(("planted", f"planted/n{n}/s{seed}", nu.to_json()))
+    for n, seed in helpers.STABLE_SWEEP:
+        nu = helpers.stable_measure(helpers.rng(seed), n)
+        found.append(("stable", f"stable/n{n}/s{seed}", nu.to_json()))
+    return found
+
+
+def run_checkout(checkout: Path, in_path: str, work: str) -> list:
+    """One row (iterations, verdict, ms) per input, run by the package in ``checkout``."""
+    env = dict(os.environ, MEASURE_BALANCER_THREADS="1")
+    out_path = os.path.join(work, "rows.json")
+    argv = [str(checkout), in_path, out_path, str(REPEATS)]
+    subprocess.run([sys.executable, "-c", _WORKER, *argv], env=env, check=True)
+    with open(out_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def summary(rows: list) -> dict:
+    """Per group: inputs, inputs needing more iterations or changing verdict, and per side
+    the sum and largest of the iterations and the sum of the milliseconds."""
+    out = {
+        "inputs": len(rows),
+        "more_iterations": sum(r["this"]["iterations"] > r["other"]["iterations"] for r in rows),
+        "verdicts_differ": sum(r["this"]["verdict"] != r["other"]["verdict"] for r in rows),
+    }
+    for side in ("this", "other"):
+        iterations = [r[side]["iterations"] for r in rows]
+        out[f"{side}_iterations"] = sum(iterations)
+        out[f"{side}_max_iterations"] = max(iterations)
+        out[f"{side}_ms"] = round(sum(r[side]["ms"] for r in rows), 3)
+    return out
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or not (Path(args[0]) / "src" / "measure_balancer").is_dir():
+        print("usage: descent_iters.py OTHER_CHECKOUT (a checkout with src/measure_balancer)", file=sys.stderr)
+        return 2
+    found = cases()
+    with tempfile.TemporaryDirectory() as work:
+        in_path = os.path.join(work, "cases.json")
+        with open(in_path, "w", encoding="utf-8") as fh:
+            json.dump([{"measure": doc} for *_, doc in found], fh)
+        ours = run_checkout(ROOT, in_path, work)
+        theirs = run_checkout(Path(args[0]).resolve(), in_path, work)
+    inputs = [
+        {"input": label, "this": this, "other": other}
+        for (_, label, _), this, other in zip(found, ours, theirs)
+    ]
+    groups = {}
+    for (group, *_), row in zip(found, inputs):
+        groups.setdefault(group, []).append(row)
+    groups = {group: summary(rows) for group, rows in groups.items()}
+    report = {"repeats": REPEATS, "runs": [list(r) for r in RUNS], "groups": groups, "inputs": inputs}
+    print(json.dumps(report, indent=1))
+    return 1 if any(g["verdicts_differ"] for g in groups.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
