@@ -13,10 +13,13 @@ g <- exp(-s c F(g.nu)) g with Armijo backtracking on s, the scale c the
 Barzilai-Borwein ratio of the last step.  A stable measure has a
 unique balanced S; an unstable or boundary-semistable one drives cond(S) to
 infinity, certified by the subspace its small eigenvectors collapse onto.
-The fixed point looks for that subspace at iterations 1, 2, 4, 8, ... and
-at its cap, and stops as soon as one carries strictly more than its share.
-When cond(S) passes COND_LIMIT with no subspace carrying its share, the
-verdict is ill-conditioned: the balanced S, if any, is beyond the limit.
+Both methods share one stop rule on S: at iterations 1, 2, 4, 8, ... and at
+the cap they look for that subspace, and stop as soon as one carries
+strictly more than its share; past COND_LIMIT they stop, diverged on a
+subspace carrying at least its share, else ill-conditioned (the balanced S,
+if any, is beyond the limit).  Atoms are matched to eigenspaces of S
+loosely and the span they found is checked exactly, so the verdict needs
+no classifier.
 
 For an interior target state rho (positive definite, trace 1) the equation
 F(g.nu) = rho - Id/(n+1) is solved by Newton steps on the direction
@@ -40,7 +43,6 @@ from .errors import (
     NumericalDegeneracy,
     SingularGram,
     TargetOutsidePolytope,
-    TooManyAtoms,
 )
 from .geometry import (
     EIGENSPACE_MEMBERSHIP_TOL,
@@ -49,6 +51,7 @@ from .geometry import (
     herm_exp,
     move_rows,
     rows_in_nested_spans,
+    rows_in_span,
     span_basis,
     span_rank,
     traceless_hermitian_basis,
@@ -170,10 +173,13 @@ def _full_span_certificate(nu: AtomicMeasure) -> Subspace:
 def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
     """The atom span in the small-eigenvalue eigenspaces of S of largest excess.
 
-    For each j the atoms within EIGENSPACE_MEMBERSHIP_TOL of the span of the
-    j smallest eigenvectors of S span a subspace; a proper one carries
-    excess = mass - rank/(n+1).  Returns (subspace, excess) for the largest
-    excess, or (None, -inf) when no eigenspace holds a proper atom span.
+    Found loosely, checked exactly: for each j the atoms within
+    EIGENSPACE_MEMBERSHIP_TOL of the span of the j smallest eigenvectors of
+    S span a subspace (span_basis), widened to every atom in it
+    (rows_in_span); a proper one carries excess nu(span) - rank/(n+1),
+    which proves instability however its atoms were found.  Returns
+    (subspace, excess) for the largest excess, or (None, -inf) when no
+    eigenspace holds a proper atom span.
     """
     k = z.shape[1]
     _, vecs = np.linalg.eigh(s)
@@ -183,10 +189,10 @@ def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
         if not inside.any() or (last is not None and np.array_equal(inside, last)):
             continue
         last = inside
-        members = np.flatnonzero(inside)
-        q_span = span_basis(z[members])
+        q_span = span_basis(z[inside])
         if q_span.shape[1] >= k:
             continue
+        members = np.flatnonzero(rows_in_span(q_span, z))
         mass = float(w[members].sum())
         excess = mass - q_span.shape[1] / k
         if excess > best_excess:
@@ -197,41 +203,40 @@ def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
     return best, best_excess
 
 
-def _degenerate_stop(nu: AtomicMeasure, s: np.ndarray):
-    """(verdict, certificate) once S degenerates.
+def _stop_rule(z, w, s, residual, tol, it, max_iter):
+    """(verdict, certificate) of both balancers at the iterate S after ``it`` steps.
 
-    ``diverged`` with the scanned span of largest excess when it is at least
-    tight, else with the classifier's certificate; ``ill-conditioned`` with
-    no certificate when neither gives a proper subspace carrying its share,
-    since then S degenerated only because balancing needs cond(S) beyond
-    COND_LIMIT.
+    ``converged`` at residual <= tol.  Once S degenerates (a non-finite
+    residual, or cond(S) past COND_LIMIT) ``diverged`` with the scanned span
+    of largest excess when it carries at least its share, else
+    ``ill-conditioned``: S degenerated only because balancing needs cond(S)
+    beyond COND_LIMIT.  At iterations 1, 2, 4, ... and at the cap,
+    ``diverged`` on a scanned span of excess above CERT_EXCESS_TOL: S
+    collapses onto an over-massive span long before cond(S) reaches
+    COND_LIMIT.  Otherwise ``max-iterations``, which ends a run only at the
+    cap.
     """
-    best, excess = _eigenspace_scan(nu.coeffs, nu.weights, s)
-    if best is not None and excess >= -CERT_EXCESS_TOL:
-        return VERDICT_DIVERGED, best
-    try:
-        certificate = classify(nu).certificate
-    except TooManyAtoms:
-        certificate = None
-    if certificate is not None:
-        return VERDICT_DIVERGED, certificate
-    return VERDICT_ILL_CONDITIONED, None
+    if residual <= tol:
+        return VERDICT_CONVERGED, None
+    if not np.isfinite(residual) or _diverging(s):
+        best, excess = _eigenspace_scan(z, w, s)
+        if excess >= -CERT_EXCESS_TOL:
+            return VERDICT_DIVERGED, best
+        return VERDICT_ILL_CONDITIONED, None
+    if it > 0 and (it & (it - 1) == 0 or it == max_iter):
+        best, excess = _eigenspace_scan(z, w, s)
+        if excess > CERT_EXCESS_TOL:
+            return VERDICT_DIVERGED, best
+    return VERDICT_MAX_ITERATIONS, None
 
 
-def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
-    k = nu.dim + 1
-    z = nu.coeff_matrix()
-    w = nu.weights
-    g0 = _start_element(nu, start)
-    s = g0 if start is None else _det_normalize(g0.conj().T @ g0)
+def _tyler_balance(z, w, tol, max_iter, g0) -> BalanceResult:
+    k = z.shape[1]
+    s = _det_normalize(g0.conj().T @ g0)
     q, r_mat, s_half, residual, energy = _tyler_state(z, w, s)
     trace = [(0, residual, energy)]
-    verdict, certificate, it = VERDICT_MAX_ITERATIONS, None, 0
-    if span_rank(z) < k:
-        # atoms span a proper subspace: full mass on it, nothing to balance
-        verdict, certificate = VERDICT_DIVERGED, _full_span_certificate(nu)
-    elif residual <= tol:
-        verdict = VERDICT_CONVERGED
+    verdict, certificate = _stop_rule(z, w, s, residual, tol, 0, max_iter)
+    it = 0
     damping = 1.0
     while verdict == VERDICT_MAX_ITERATIONS and it < max_iter:
         it += 1
@@ -255,23 +260,13 @@ def _tyler_balance(nu, tol, max_iter, start) -> BalanceResult:
         s = cand
         q, r_mat, s_half, residual, energy = out
         trace.append((it, residual, energy))
-        if not np.isfinite(residual):
-            s_half = np.eye(k, dtype=complex)
-            verdict, certificate = _degenerate_stop(nu, s)
-        elif residual <= tol:
-            verdict = VERDICT_CONVERGED
-        elif _diverging(s):
-            verdict, certificate = _degenerate_stop(nu, s)
-        elif it & (it - 1) == 0 or it == max_iter:
-            # Checkpoint: S collapses onto an over-massive span long before
-            # cond(S) reaches COND_LIMIT, and a strict excess proves it.
-            best, excess = _eigenspace_scan(z, w, s)
-            if excess > CERT_EXCESS_TOL:
-                verdict, certificate = VERDICT_DIVERGED, best
+        verdict, certificate = _stop_rule(z, w, s, residual, tol, it, max_iter)
+    if s_half is None:  # the last state was not finite
+        s_half = np.eye(k, dtype=complex)
     return BalanceResult(
         g=GroupElement(s_half),
         residual=float(residual),
-        iterations=max_iter if verdict == VERDICT_MAX_ITERATIONS else it,
+        iterations=it,
         trace=trace,
         verdict=verdict,
         certificate=certificate,
@@ -338,46 +333,16 @@ def _step_scale(mom: np.ndarray, last) -> float:
     return scale
 
 
-def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
-    k = nu.dim + 1
-    z = nu.coeff_matrix()
-    w = nu.weights
-    g = _start_element(nu, start)
-    if span_rank(z) < k:
-        s_half = _herm_sqrt(_det_normalize(g.conj().T @ g))
-        _, mom, residual, energy = _moved_state(z, w, s_half)
-        return BalanceResult(
-            g=GroupElement(s_half),
-            residual=residual,
-            iterations=0,
-            trace=[(0, residual, energy)],
-            verdict=VERDICT_DIVERGED,
-            certificate=_full_span_certificate(nu),
-        )
+def _descent_balance(z, w, tol, max_iter, g) -> BalanceResult:
     trace = []
-    verdict = VERDICT_MAX_ITERATIONS
-    iterations = max_iter
     state = _moved_state(z, w, g)
     last = None  # (momentum, step * scale) of the last accepted step
     for it in range(max_iter + 1):
         _, mom, residual, energy = state
         trace.append((it, residual, energy))
-        if residual <= tol:
-            verdict = VERDICT_CONVERGED
-            iterations = it
-            break
         s_now = _det_normalize(g.conj().T @ g)
-        if _diverging(s_now):
-            verdict, certificate = _degenerate_stop(nu, s_now)
-            return BalanceResult(
-                g=GroupElement(_herm_sqrt(s_now)),
-                residual=residual,
-                iterations=it,
-                trace=trace,
-                verdict=verdict,
-                certificate=certificate,
-            )
-        if it == max_iter:
+        verdict, certificate = _stop_rule(z, w, s_now, residual, tol, it, max_iter)
+        if verdict != VERDICT_MAX_ITERATIONS or it == max_iter:
             break
         scale = _step_scale(mom, last)
 
@@ -393,19 +358,19 @@ def _descent_balance(nu, tol, max_iter, start) -> BalanceResult:
         # -d/ds Psi along -scale F is scale * residual^2
         found = _line_search(trial, energy, residual, scale * residual * residual)
         if found is None:  # flat to machine precision; cannot make progress
-            iterations = it
             break
         g, state, t = found
         last = (mom, t)
-    s_half = _herm_sqrt(_det_normalize(g.conj().T @ g))
-    _, mom, residual, _ = _moved_state(z, w, s_half)
+    s_half = _herm_sqrt(s_now)
+    if verdict in (VERDICT_CONVERGED, VERDICT_MAX_ITERATIONS):
+        _, _, residual, _ = _moved_state(z, w, s_half)
     return BalanceResult(
         g=GroupElement(s_half),
         residual=residual,
-        iterations=iterations,
+        iterations=it,
         trace=trace,
         verdict=verdict,
-        certificate=None,
+        certificate=certificate,
     )
 
 
@@ -434,11 +399,25 @@ def balance(
     if target_rho is not None:
         return solve_target(nu, target_rho, tol=tol, max_iter=max_iter, start=start)
     key = method.replace("_", "-").lower()
-    if key in ("fixed-point", "fixedpoint"):
-        return _tyler_balance(nu, tol, max_iter, start)
-    if key in ("geodesic-descent", "descent", "geodesicdescent"):
-        return _descent_balance(nu, tol, max_iter, start)
-    raise InvalidInput(f"unknown balancing method {method!r}")
+    if key not in ("fixed-point", "fixedpoint", "geodesic-descent", "descent", "geodesicdescent"):
+        raise InvalidInput(f"unknown balancing method {method!r}")
+    z = nu.coeff_matrix()
+    w = nu.weights
+    g0 = _start_element(nu, start)
+    if span_rank(z) < nu.dim + 1:
+        # atoms span a proper subspace: full mass on it, nothing to balance
+        _, _, s_half, residual, energy = _tyler_state(z, w, _det_normalize(g0.conj().T @ g0))
+        return BalanceResult(
+            g=GroupElement(s_half),
+            residual=residual,
+            iterations=0,
+            trace=[(0, residual, energy)],
+            verdict=VERDICT_DIVERGED,
+            certificate=_full_span_certificate(nu),
+        )
+    if key.startswith("fixed"):
+        return _tyler_balance(z, w, tol, max_iter, g0)
+    return _descent_balance(z, w, tol, max_iter, g0)
 
 
 def _gram_from_arrays(z: np.ndarray, w: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -23,14 +23,12 @@ from .balancing import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     VERDICT_CONVERGED,
-    VERDICT_DIVERGED,
     BalanceResult,
     balance,
 )
 from .errors import InvalidInput
 from .geometry import GroupElement, ProjectivePoint
 from .measures import AtomicMeasure, checked_weights, momentum, pushforward
-from .stability import StabilityKind, classify
 from .util import canonical_json, check_max_iter, check_tol, parse_json, read_numbers
 
 POINT_NORM_TOL = 1e-6  # sphere points may drift this far from unit norm
@@ -150,32 +148,16 @@ def hersch_balance(
 ) -> tuple[GroupElement, BalanceResult, np.ndarray]:
     """Mobius-center a spherical measure: drive its center of mass to 0.
 
-    Classifies the CP^1 image first: a measure with an atom of mass > 1/2 is
-    uncenterable and returns a diverged result certifying that atom.
-    Otherwise the projective measure is balanced and the final center of
-    mass of the transported measure is returned along with the Mobius
-    transformation (as an element of SL(2, C)).
+    Balances the CP^1 image and returns the Mobius transformation (as an
+    element of SL(2, C)), the balance result and the center of mass of the
+    transported measure.  A measure with an atom of mass > 1/2 is
+    uncenterable: its run stops ``diverged`` with that atom as the
+    certificate, the transformation is the iterate at which it stopped, and
+    the center of mass is the untouched one.
     """
     check_max_iter(max_iter)
     check_tol("tol", tol)
     nu = to_projective(sm)
-    verdict = classify(nu, cap=max(16, nu.atom_count))
-    if verdict.kind is StabilityKind.UNSTABLE:
-        mom = momentum(nu).m
-        residual = float(np.linalg.norm(mom))
-        result = BalanceResult(
-            g=GroupElement.identity(1),
-            residual=residual,
-            iterations=0,
-            trace=[(0, residual, 0.0)],
-            verdict=VERDICT_DIVERGED,
-            certificate=verdict.certificate,
-        )
-        return GroupElement.identity(1), result, bloch(mom)
     result = balance(nu, tol=tol, max_iter=max_iter)
-    if result.verdict == VERDICT_CONVERGED:
-        moved = pushforward(result.g, nu)
-        final_com = bloch(momentum(moved).m)
-    else:
-        final_com = bloch(momentum(nu).m)
-    return result.g, result, final_com
+    moved = pushforward(result.g, nu) if result.verdict == VERDICT_CONVERGED else nu
+    return result.g, result, bloch(momentum(moved).m)

@@ -190,6 +190,26 @@ STABLE_SWEEP = [(n, s) for n in range(1, 5) for s in range(10)] + [
 ]
 
 
+# Exact-coincidence input: small Gaussian-integer coordinates make repeated
+# points and collinear or coplanar atoms common, and weights with small
+# denominators make boundary masses common.
+GAUSSIAN_COORDS = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 2])
+WEIGHT_DENOMINATORS = (2, 3, 4, 5, 6, 12)
+
+
+def gaussian_integer_measure(r: np.random.Generator, n: int, m: int) -> AtomicMeasure:
+    """m nonzero atoms of C^(n+1) with coordinates from GAUSSIAN_COORDS, and
+    weights c_i/d summing to 1 for a denominator d >= m from WEIGHT_DENOMINATORS."""
+    rows = r.choice(GAUSSIAN_COORDS, size=(m, n + 1))
+    while not np.all(rows.any(axis=1)):
+        zero = ~rows.any(axis=1)
+        rows[zero] = r.choice(GAUSSIAN_COORDS, size=(int(zero.sum()), n + 1))
+    d = int(r.choice([den for den in WEIGHT_DENOMINATORS if den >= m]))
+    cuts = np.sort(r.choice(np.arange(1, d), size=m - 1, replace=False))
+    counts = np.diff(np.concatenate([[0], cuts, [d]]))
+    return AtomicMeasure(rows, counts / d)
+
+
 def polystable_measure(
     r: np.random.Generator, n: int, move: bool = True
 ) -> tuple[AtomicMeasure, list[int]]:

@@ -6,6 +6,7 @@ import pytest
 from measure_balancer import (
     AtomicMeasure,
     InvalidInput,
+    ProjectivePoint,
     SphereMeasure,
     VERDICT_CONVERGED,
     VERDICT_DIVERGED,
@@ -234,15 +235,31 @@ def test_hersch_balance_leaves_centered_measure_alone():
     assert np.allclose(mobius.g, np.eye(2), atol=1e-12)
 
 
-def test_hersch_balance_detects_dominant_atom():
-    sm = sphere_measure([NORTH, SOUTH], [0.6, 0.4])
+def dominant_atom_measures():
+    """(sphere measure, heavy point, its mass): each has one atom above 1/2."""
+    # the n = 1 fixed-point stall of tests/test_balancing.py on the sphere
+    stall = [projective_point_to_sphere(ProjectivePoint(z)) for z in ([-1, 2], [1 + 1j, -1])]
+    # 40 atoms: past the classifier's enumeration cap
+    rest = rng(65).normal(size=(39, 3))
+    rest /= np.linalg.norm(rest, axis=1)[:, None]
+    return [
+        (sphere_measure([NORTH, SOUTH], [0.6, 0.4]), NORTH, 0.6),
+        (sphere_measure(stall, [5 / 12, 7 / 12]), stall[1], 7 / 12),
+        (SphereMeasure(np.vstack([EAST, rest]), [0.6] + [0.4 / 39] * 39), EAST, 0.6),
+    ]
+
+
+@pytest.mark.parametrize(
+    "sm, heavy, mass", dominant_atom_measures(), ids=["poles", "n1-stall", "40-atoms"]
+)
+def test_hersch_balance_detects_dominant_atom(sm, heavy, mass):
     mobius, result, com = hersch_balance(sm)
     assert result.verdict == VERDICT_DIVERGED
     assert result.certificate is not None
-    assert result.certificate.mass == pytest.approx(0.6, abs=1e-12)
-    # the certificate atom is the north pole
-    cert_point = result.certificate.spanning_points()[0]
-    assert np.allclose(projective_point_to_sphere(cert_point), NORTH, atol=1e-12)
+    assert result.certificate.mass == pytest.approx(mass, abs=1e-12)
+    # the certificate is the heavy atom
+    (cert_point,) = result.certificate.spanning_points()
+    assert np.allclose(projective_point_to_sphere(cert_point), heavy, atol=1e-12)
     # the reported center of mass is the untouched one
     assert np.allclose(com, center_of_mass(sm), atol=1e-15)
 

@@ -1,20 +1,22 @@
-"""Geodesic-descent iterations and verdicts, this checkout against another one.
+"""Balancing iterations and verdicts, this checkout against another one.
 
     python3 tools/descent_iters.py OTHER_CHECKOUT
 
-Runs ``balance(nu, method="geodesic-descent")`` of each checkout on:
+Runs ``balance(nu, method=...)`` of each checkout on:
 
-- every ``--method geodesic-descent`` op of the ``balance-large`` workload
-  (seed 1) and of the ``solve-mix`` workload (seeds 1, 2 and 17);
+- every ``balance`` op without ``--target`` of the ``balance-large``
+  workload (seed 1) and of the ``solve-mix`` workload (seeds 1, 2 and 17),
+  with the op's own method;
 - the planted-unstable sweep and the stable sweep of ``tests/helpers.py``
-  (``PLANTED_SWEEP``, ``STABLE_SWEEP``).
+  (``PLANTED_SWEEP``, ``STABLE_SWEEP``), with both methods.
 
 One subprocess per checkout imports the package from its ``src/``, with
 BLAS on one thread.  Both sides read the same measure documents, drawn by
 this checkout's ``perfbench/inputs.py`` and ``tests/helpers.py``.  Each input
 is run ``REPEATS`` times; its wall time is the minimum.  Prints one JSON
-document: per input its iterations, verdict and milliseconds on each side,
-and per group the sums.  Exits 1 if a verdict differs, 0 if none does.
+document: per input and method its iterations, verdict and milliseconds on
+each side, and per group and method the sums.  Exits 1 if a verdict
+differs, 0 if none does.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = (("balance-large", 1), ("solve-mix", 1), ("solve-mix", 2), ("solve-mix", 17))
 REPEATS = 3
+METHODS = ("fixed-point", "geodesic-descent")
 
 # Run in a fresh interpreter: argv is (checkout, inputs file, out file).
 _WORKER = """
@@ -44,7 +47,7 @@ for case in cases:
     best = float("inf")
     for _ in range(int(sys.argv[4])):
         t0 = time.perf_counter()
-        res = balance(nu, method="geodesic-descent")
+        res = balance(nu, method=case["method"])
         best = min(best, time.perf_counter() - t0)
     rows.append({"iterations": res.iterations, "verdict": res.verdict, "ms": round(1e3 * best, 3)})
 with open(out_path, "w", encoding="utf-8") as fh:
@@ -53,7 +56,7 @@ with open(out_path, "w", encoding="utf-8") as fh:
 
 
 def cases() -> list:
-    """(group, label, measure document) for every input, in a fixed order."""
+    """(group, label, measure document, method) for every run, in a fixed order."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(ROOT / "tests"))
@@ -64,14 +67,19 @@ def cases() -> list:
     for name, seed in RUNS:
         wl = inputs.make_workload(name, seed)
         for op in wl.ops:
-            if op.argv[0] == "balance" and "geodesic-descent" in op.argv:
-                found.append((name, f"{name}/{seed}/{op.op_id}", wl.files[op.argv[1]].decode()))
-    for n, seed in helpers.PLANTED_SWEEP:
-        nu, *_ = helpers.unstable_measure(helpers.rng(seed), n)
-        found.append(("planted", f"planted/n{n}/s{seed}", nu.to_json()))
-    for n, seed in helpers.STABLE_SWEEP:
-        nu = helpers.stable_measure(helpers.rng(seed), n)
-        found.append(("stable", f"stable/n{n}/s{seed}", nu.to_json()))
+            if op.argv[0] == "balance" and "--target" not in op.argv:
+                method = op.argv[op.argv.index("--method") + 1] if "--method" in op.argv else "fixed-point"
+                doc = wl.files[op.argv[1]].decode()
+                found.append((name, f"{name}/{seed}/{op.op_id}", doc, method))
+    sweeps = [
+        ("planted", f"planted/n{n}/s{seed}", helpers.unstable_measure(helpers.rng(seed), n)[0])
+        for n, seed in helpers.PLANTED_SWEEP
+    ] + [
+        ("stable", f"stable/n{n}/s{seed}", helpers.stable_measure(helpers.rng(seed), n))
+        for n, seed in helpers.STABLE_SWEEP
+    ]
+    for method in METHODS:
+        found += [(group, label, nu.to_json(), method) for group, label, nu in sweeps]
     return found
 
 
@@ -110,16 +118,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         in_path = os.path.join(work, "cases.json")
         with open(in_path, "w", encoding="utf-8") as fh:
-            json.dump([{"measure": doc} for *_, doc in found], fh)
+            json.dump([{"measure": doc, "method": method} for *_, doc, method in found], fh)
         ours = run_checkout(ROOT, in_path, work)
         theirs = run_checkout(Path(args[0]).resolve(), in_path, work)
     inputs = [
-        {"input": label, "this": this, "other": other}
-        for (_, label, _), this, other in zip(found, ours, theirs)
+        {"input": label, "method": method, "this": this, "other": other}
+        for (_, label, _, method), this, other in zip(found, ours, theirs)
     ]
     groups = {}
-    for (group, *_), row in zip(found, inputs):
-        groups.setdefault(group, []).append(row)
+    for (group, *_, method), row in zip(found, inputs):
+        groups.setdefault(f"{group}/{method}", []).append(row)
     groups = {group: summary(rows) for group, rows in groups.items()}
     report = {"repeats": REPEATS, "runs": [list(r) for r in RUNS], "groups": groups, "inputs": inputs}
     print(json.dumps(report, indent=1))
