@@ -50,7 +50,7 @@ from .geometry import (
     SpectralDirection,
     herm_exp,
     move_rows,
-    rows_in_nested_spans,
+    nested_span_distances,
     rows_in_span,
     span_basis,
     span_rank,
@@ -175,31 +175,46 @@ def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
 
     Found loosely, checked exactly: for each j the atoms within
     EIGENSPACE_MEMBERSHIP_TOL of the span of the j smallest eigenvectors of
-    S span a subspace (span_basis), widened to every atom in it
-    (rows_in_span); a proper one carries excess nu(span) - rank/(n+1),
-    which proves instability however its atoms were found.  Returns
-    (subspace, excess) for the largest excess, or (None, -inf) when no
-    eigenspace holds a proper atom span.
+    S are taken in order of their distance to it.  Each one not in the
+    span of those before it joins a basis, and each basis of at most n
+    atoms spans a subspace (span_basis), widened to every atom in it
+    (rows_in_span): the candidates of ``classify``, so its excess
+    nu(span) - rank/(n+1) proves instability however its atoms were found.
+    Trying every distance cut, not only the one at the tolerance, keeps an
+    atom that is near the eigenspace but off a collapsing span from raising
+    its rank.  Returns (subspace, excess) for the largest excess, or
+    (None, -inf) when no eigenspace holds a proper atom span.
     """
     k = z.shape[1]
     _, vecs = np.linalg.eigh(s)
-    masks = rows_in_nested_spans(vecs, z, tol=EIGENSPACE_MEMBERSHIP_TOL)
+    dist = nested_span_distances(vecs, z, tol=EIGENSPACE_MEMBERSHIP_TOL)
+    near = dist <= EIGENSPACE_MEMBERSHIP_TOL
     best, best_excess, last = None, -np.inf, None
-    for inside in masks.T:  # nested masks: an unchanged one gives the same span
-        if not inside.any() or (last is not None and np.array_equal(inside, last)):
-            continue
-        last = inside
-        q_span = span_basis(z[inside])
-        if q_span.shape[1] >= k:
-            continue
-        members = np.flatnonzero(rows_in_span(q_span, z))
-        mass = float(w[members].sum())
-        excess = mass - q_span.shape[1] / k
-        if excess > best_excess:
-            best_excess = excess
-            best = Subspace(
-                basis=q_span, atom_indices=tuple(int(i) for i in members), mass=mass
-            )
+    for j in np.flatnonzero(near.any(axis=0)):
+        order = np.flatnonzero(near[:, j])
+        order = order[np.argsort(dist[order, j], kind="stable")]
+        if last is not None and np.array_equal(order, last):
+            continue  # the same cuts as the last eigenspace
+        last = order
+        inside = np.zeros(z.shape[0], dtype=bool)
+        basis = []
+        for i in order:
+            if inside[i]:
+                continue
+            basis.append(i)
+            if len(basis) == k:
+                break
+            q_span = span_basis(z[sorted(basis)])
+            inside = rows_in_span(q_span, z)
+            mass = float(w[inside].sum())
+            excess = mass - q_span.shape[1] / k
+            if excess > best_excess:
+                best_excess = excess
+                best = Subspace(
+                    basis=q_span,
+                    atom_indices=tuple(int(a) for a in np.flatnonzero(inside)),
+                    mass=mass,
+                )
     return best, best_excess
 
 
@@ -374,6 +389,16 @@ def _descent_balance(z, w, tol, max_iter, g) -> BalanceResult:
     )
 
 
+# balance(method=...) after "_" -> "-" and lowercasing
+_METHODS = {
+    "fixed-point": _tyler_balance,
+    "fixedpoint": _tyler_balance,
+    "geodesic-descent": _descent_balance,
+    "geodesicdescent": _descent_balance,
+    "descent": _descent_balance,
+}
+
+
 def balance(
     nu: AtomicMeasure,
     target_rho: np.ndarray | None = None,
@@ -398,8 +423,8 @@ def balance(
     check_tol("tol", tol)
     if target_rho is not None:
         return solve_target(nu, target_rho, tol=tol, max_iter=max_iter, start=start)
-    key = method.replace("_", "-").lower()
-    if key not in ("fixed-point", "fixedpoint", "geodesic-descent", "descent", "geodesicdescent"):
+    run = _METHODS.get(method.replace("_", "-").lower())
+    if run is None:
         raise InvalidInput(f"unknown balancing method {method!r}")
     z = nu.coeff_matrix()
     w = nu.weights
@@ -415,9 +440,7 @@ def balance(
             verdict=VERDICT_DIVERGED,
             certificate=_full_span_certificate(nu),
         )
-    if key.startswith("fixed"):
-        return _tyler_balance(z, w, tol, max_iter, g0)
-    return _descent_balance(z, w, tol, max_iter, g0)
+    return run(z, w, tol, max_iter, g0)
 
 
 def _gram_from_arrays(z: np.ndarray, w: np.ndarray, mats: np.ndarray) -> np.ndarray:

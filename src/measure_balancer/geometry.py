@@ -38,12 +38,13 @@ COMPONENT_TOL = 1e-12  # spectral component norm that counts as present
 MIN_VECTOR_NORM = 1e-150  # below this a vector is treated as numerically zero
 # The rank policy: every span, rank and membership decision of the classifier
 # and the balancers goes through span_basis, span_rank, rows_in_span and
-# rows_in_nested_spans below.
+# nested_span_distances below.
 RANK_TOL = 1e-10  # singular values s > RANK_TOL * s[0] count toward a rank
 MEMBERSHIP_TOL = 1e-10  # residual norm below which a unit row lies in a span
-# Atoms are matched to the eigenspaces of a balancing iterate S loosely: the
-# span of the atoms found is then checked exactly by the rank policy, so this
-# cannot make a divergence certificate unsound, only find one early or late.
+# Atoms are matched to the eigenspaces of a balancing iterate S loosely: every
+# distance cut of the atoms within this of an eigenspace is tried, and each
+# span found is checked exactly by the rank policy, so this cannot make a
+# divergence certificate unsound, only find one early or late.
 EIGENSPACE_MEMBERSHIP_TOL = 1e-4
 
 
@@ -453,20 +454,21 @@ def rows_in_span(q: np.ndarray, z: np.ndarray, tol: float = MEMBERSHIP_TOL) -> n
     return np.linalg.norm(residual, axis=0) <= tol
 
 
-def rows_in_nested_spans(v: np.ndarray, z: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Masks of the unit rows of z within tol of span(v_0 .. v_(j-1)), j = 1 .. k-1.
+def nested_span_distances(v: np.ndarray, z: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Distances of the unit rows of z to span(v_0 .. v_(j-1)), j = 1 .. k-1.
 
-    v is a (k, k) unitary; column j-1 of the (m, k-1) result is the mask for
-    the first j columns of v.  One projection C = |z v-bar|^2, then reverse
-    cumulative sums: the distance to the j-span is sqrt(sum_(l >= j) C_il),
-    a sum of nonnegative terms, so it does not cancel the way z - P z does.
-    Only rows within tol of the largest span, |<v_(k-1), z_i>| <= tol, can
-    be in any, so only they are projected.
+    v is a (k, k) unitary; column j-1 of the (m, k-1) result holds the
+    distances to the span of the first j columns of v.  One projection
+    C = |z v-bar|^2, then reverse cumulative sums: the distance to the
+    j-span is sqrt(sum_(l >= j) C_il), a sum of nonnegative terms, so it
+    does not cancel the way z - P z does.  Only rows within tol of the
+    largest span, |<v_(k-1), z_i>| <= tol, can be within tol of any, so
+    only they are projected; the others read inf.
     """
-    masks = np.zeros((z.shape[0], v.shape[1] - 1), dtype=bool)
+    dist = np.full((z.shape[0], v.shape[1] - 1), np.inf)
     near = np.flatnonzero(np.abs(z @ v[:, -1].conj()) <= tol)
     if near.size:
         c = np.abs(z[near] @ v.conj()) ** 2
         tail = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
-        masks[near] = np.sqrt(tail[:, 1:]) <= tol
-    return masks
+        dist[near] = np.sqrt(tail[:, 1:])
+    return dist

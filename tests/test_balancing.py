@@ -619,6 +619,32 @@ def test_both_methods_certify_the_fixed_point_stalls(rows, weights, method):
     assert res.iterations <= 64
 
 
+def near_pair_measure(n: int):
+    """A heavy atom e_0 (0.6), an atom 1e-5 off it and n + 2 generic atoms."""
+    r = rng(3)
+    near = np.zeros(n + 1, dtype=complex)
+    near[:2] = [1.0, 1e-5]
+    generic = r.normal(size=(n + 2, n + 1)) + 1j * r.normal(size=(n + 2, n + 1))
+    rows = np.vstack([np.eye(n + 1)[0], near, generic])
+    return measure_on(rows, [0.6, 0.05] + [0.35 / (n + 2)] * (n + 2))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_atom_near_the_collapsing_span_does_not_hide_it(n, method):
+    # The second atom stays within EIGENSPACE_MEMBERSHIP_TOL of the small
+    # eigenspace but off the heavy atom's line; the span of both is too big
+    # (on n = 2 a plane of mass 0.65 < 2/3), so the scan must try the heavy
+    # atom alone, the shorter distance cut.
+    nu = near_pair_measure(n)
+    assert classify(nu).kind is StabilityKind.UNSTABLE
+    res = balance(nu, method=method)
+    assert res.verdict == VERDICT_DIVERGED
+    assert res.certificate.atom_indices == (0,)
+    assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+    assert res.iterations <= 64
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_tight_subspaces_do_not_stop_the_fixed_point(n):
     # Orthogonal blocks: the eigenvectors of S hold each block exactly, and a

@@ -23,7 +23,7 @@ from measure_balancer import (
     spectral_decompose,
     traceless_hermitian_basis,
 )
-from measure_balancer.geometry import rows_in_nested_spans, rows_in_span, spectral_decompose_stack
+from measure_balancer.geometry import nested_span_distances, rows_in_span, spectral_decompose_stack
 
 from helpers import (
     hermitian_exp,
@@ -404,6 +404,6 @@ def test_nested_span_masks_match_one_membership_test_per_span():
             rows.append(z / np.linalg.norm(z))
         z = np.array(rows)
         want = np.column_stack([rows_in_span(v[:, :j], z, tol=1e-8) for j in range(1, k)])
-        got = rows_in_nested_spans(v, z, tol=1e-8)
+        got = nested_span_distances(v, z, tol=1e-8) <= 1e-8
         assert got.shape == (40, k - 1) and np.array_equal(got, want)
         assert want.any() and not want.all()

@@ -242,15 +242,20 @@ def dominant_atom_measures():
     # 40 atoms: past the classifier's enumeration cap
     rest = rng(65).normal(size=(39, 3))
     rest /= np.linalg.norm(rest, axis=1)[:, None]
+    # a second atom 1e-5 from the heavy one: near the collapsing line, not on it
+    near = np.array([1.0, 1e-5, 0.0]) / np.hypot(1.0, 1e-5)
     return [
         (sphere_measure([NORTH, SOUTH], [0.6, 0.4]), NORTH, 0.6),
         (sphere_measure(stall, [5 / 12, 7 / 12]), stall[1], 7 / 12),
         (SphereMeasure(np.vstack([EAST, rest]), [0.6] + [0.4 / 39] * 39), EAST, 0.6),
+        (SphereMeasure(np.vstack([EAST, near, rest[:3]]), [0.6] + [0.1] * 4), EAST, 0.6),
     ]
 
 
 @pytest.mark.parametrize(
-    "sm, heavy, mass", dominant_atom_measures(), ids=["poles", "n1-stall", "40-atoms"]
+    "sm, heavy, mass",
+    dominant_atom_measures(),
+    ids=["poles", "n1-stall", "40-atoms", "near-pair"],
 )
 def test_hersch_balance_detects_dominant_atom(sm, heavy, mass):
     mobius, result, com = hersch_balance(sm)
