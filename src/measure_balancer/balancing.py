@@ -10,7 +10,9 @@ becomes the fixed-point condition
 iterated directly (the default), or the Kempf-Ness energy
 Psi(nu, g) = sum w_i log||g z_i|| is minimized by geodesic steepest descent
 g <- exp(-s c F(g.nu)) g with Armijo backtracking on s, the scale c the
-Barzilai-Borwein ratio of the last step.  A stable measure has a
+Barzilai-Borwein ratio of the last step.  The fixed-point step is Tyler's
+scatter iteration, a majorize-minimize step for Psi: by the concavity of log
+it never raises the energy, so it is taken undamped.  A stable measure has a
 unique balanced S; an unstable or boundary-semistable one drives cond(S) to
 infinity, certified by the subspace its small eigenvectors collapse onto.
 Both methods share one stop rule on S: at iterations 1, 2, 4, 8, ... and at
@@ -76,11 +78,6 @@ GRAM_COND_LIMIT = 1e14  # cond(Gram) beyond this stops a target solve
 TORUS_SUPPORT_TOL = 1e-12  # |z_ij| above this puts coordinate j in atom i's support
 TORUS_LP_FLOOR = 1e-9  # interiority LP floor delta at or below this: not interior
 TORUS_HESSIAN_RIDGE = 1e-14  # ridge on the reduced torus Hessian, times max(1, max |entry|)
-MIN_DAMPING = 2.0**-10
-# The fixed point accepts a damped step whose residual is at most
-# residual + max(ACCEPT_BAND_REL * residual, ACCEPT_BAND_ABS).
-ACCEPT_BAND_REL = 1e-9
-ACCEPT_BAND_ABS = 1e-14
 MIN_STEP = 2.0**-40
 ARMIJO_C = 1e-4
 OBJECTIVE_RESOLUTION = 1e-14  # a decrease below this * max(1, |objective|) is unresolvable
@@ -122,8 +119,11 @@ class TorusSolveResult:
 
 
 def _herm_sqrt(s: np.ndarray) -> np.ndarray:
+    """S^(1/2), its eigenvalues floored at eps * the largest: past cond(S) of
+    about 1/eps the smallest rounds to zero or below, and the root must stay
+    invertible."""
     vals, vecs = np.linalg.eigh(s)
-    vals = np.maximum(vals, 0.0)
+    vals = np.maximum(vals, np.finfo(float).eps * vals[-1])
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
@@ -144,17 +144,17 @@ def _start_element(nu: AtomicMeasure, start) -> np.ndarray:
 
 
 def _tyler_state(z: np.ndarray, w: np.ndarray, s: np.ndarray):
-    """q_i = z_i* S z_i, the reweighted scatter R, residual and energy at S."""
+    """The reweighted scatter R, S^(1/2), residual and energy at S."""
     k = s.shape[0]
     q = np.einsum("mb,mb->m", z.conj() @ s, z).real
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
-        return q, None, None, np.inf, np.inf
+        return None, None, np.inf, np.inf
     r_mat = (z.T * (w / q)) @ z.conj()
     s_half = _herm_sqrt(s)
     mom = s_half @ r_mat @ s_half - np.eye(k) / k
     residual = float(np.linalg.norm(mom))
     energy = 0.5 * float(w @ np.log(q))
-    return q, r_mat, s_half, residual, energy
+    return r_mat, s_half, residual, energy
 
 
 def _diverging(s: np.ndarray) -> bool:
@@ -248,32 +248,15 @@ def _stop_rule(z, w, s, residual, tol, it, max_iter):
 def _tyler_balance(z, w, tol, max_iter, g0) -> BalanceResult:
     k = z.shape[1]
     s = _det_normalize(g0.conj().T @ g0)
-    q, r_mat, s_half, residual, energy = _tyler_state(z, w, s)
+    r_mat, s_half, residual, energy = _tyler_state(z, w, s)
     trace = [(0, residual, energy)]
     verdict, certificate = _stop_rule(z, w, s, residual, tol, 0, max_iter)
     it = 0
-    damping = 1.0
     while verdict == VERDICT_MAX_ITERATIONS and it < max_iter:
         it += 1
-        s_prop = _det_normalize(np.linalg.inv(r_mat))
-        s_prop = (s_prop + s_prop.conj().T) / 2.0
-        # Accept a step unless the residual grows meaningfully: divergent
-        # iterates often hold the residual constant while S degenerates, and
-        # rejecting ulp-level wobble would stall them short of the
-        # condition-number certificate.
-        while True:
-            if damping >= 1.0:
-                cand = s_prop
-            else:
-                cand = _det_normalize((1.0 - damping) * s + damping * s_prop)
-            out = _tyler_state(z, w, cand)
-            accept_band = residual + max(ACCEPT_BAND_REL * residual, ACCEPT_BAND_ABS)
-            if out[3] <= accept_band or damping <= MIN_DAMPING:
-                break
-            damping /= 2.0
-        damping = min(1.0, damping * 2.0)
-        s = cand
-        q, r_mat, s_half, residual, energy = out
+        s = _det_normalize(np.linalg.inv(r_mat))
+        s = (s + s.conj().T) / 2.0
+        r_mat, s_half, residual, energy = _tyler_state(z, w, s)
         trace.append((it, residual, energy))
         verdict, certificate = _stop_rule(z, w, s, residual, tol, it, max_iter)
     if s_half is None:  # the last state was not finite
@@ -431,7 +414,7 @@ def balance(
     g0 = _start_element(nu, start)
     if span_rank(z) < nu.dim + 1:
         # atoms span a proper subspace: full mass on it, nothing to balance
-        _, _, s_half, residual, energy = _tyler_state(z, w, _det_normalize(g0.conj().T @ g0))
+        _, s_half, residual, energy = _tyler_state(z, w, _det_normalize(g0.conj().T @ g0))
         return BalanceResult(
             g=GroupElement(s_half),
             residual=residual,

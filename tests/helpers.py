@@ -290,6 +290,17 @@ def near_hyperplane_cloud(r: np.random.Generator, n: int, eps: float) -> AtomicM
     return AtomicMeasure(z, np.full(m, 1 / m))
 
 
+# Seeds of near_hyperplane_cloud(r, 2, 10 ** r.uniform(-9, -6)), r = rng(seed),
+# on which the fixed point's S rounds to a singular matrix (cond(S) past 1/eps)
+# before the stop rule ends the run.
+SINGULAR_S_SEEDS = (367, 1699, 2743, 2935)
+
+
+def singular_s_cloud(seed: int) -> AtomicMeasure:
+    r = rng(seed)
+    return near_hyperplane_cloud(r, 2, 10.0 ** r.uniform(-9, -6))
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 

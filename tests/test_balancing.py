@@ -44,6 +44,7 @@ from measure_balancer.balancing import DEFAULT_MAX_ITER, _torus_lp
 
 from helpers import (
     PLANTED_SWEEP,
+    SINGULAR_S_SEEDS,
     STABLE_SWEEP,
     bisection_torus_n1,
     certified_excess,
@@ -57,6 +58,7 @@ from helpers import (
     reference_gram,
     reference_torus_lp,
     rng,
+    singular_s_cloud,
     stable_measure,
     torus_gradient,
     unstable_measure,
@@ -704,6 +706,43 @@ def test_stable_measure_near_a_hyperplane_is_ill_conditioned(method, eps):
     res = balance(nu, method=method)
     assert res.verdict == VERDICT_ILL_CONDITIONED
     assert res.certificate is None
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", SINGULAR_S_SEEDS)
+def test_a_rounded_singular_s_is_ill_conditioned_not_an_error(seed, method):
+    # S^(1/2) keeps its smallest eigenvalue at eps * the largest, so the
+    # returned element stays invertible.
+    nu = singular_s_cloud(seed)
+    assert classify(nu).kind is StabilityKind.STABLE
+    res = balance(nu, method=method)
+    assert res.verdict == VERDICT_ILL_CONDITIONED
+    assert res.certificate is None
+    assert np.all(np.isfinite(res.g.g))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["stable", "planted-unstable", "gaussian-integer", "near-hyperplane"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    m=st.integers(2, 7),
+)
+def test_the_fixed_point_never_raises_the_energy(kind, seed, n, m):
+    # Tyler's step minimizes a majorizer of the energy that touches it at S
+    # (log is concave), so the undamped step cannot raise it beyond rounding.
+    r = rng(seed)
+    if kind == "stable":
+        nu = stable_measure(r, n, weights="dirichlet")
+    elif kind == "planted-unstable":
+        nu, *_ = unstable_measure(r, n, excess=float(r.uniform(0.01, 0.1)))
+    elif kind == "gaussian-integer":
+        nu = gaussian_integer_measure(r, n, m)
+    else:
+        nu = near_hyperplane_cloud(r, n, 10.0 ** r.uniform(-9, -6))
+    energies = np.array([row[2] for row in balance(nu).trace])
+    slack = 1e-10 * np.maximum(1.0, np.abs(energies[:-1]))
+    assert np.all(np.diff(energies) <= slack), (kind, n)
 
 
 # ---------------------------------------------------------------------------

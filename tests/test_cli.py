@@ -16,7 +16,15 @@ import measure_balancer
 from measure_balancer import AtomicMeasure, ProjectivePoint, SphereMeasure, cli, stability
 from measure_balancer.cli import main
 
-from helpers import near_hyperplane_cloud, random_vector, rng, stable_measure, torus_gradient
+from helpers import (
+    SINGULAR_S_SEEDS,
+    near_hyperplane_cloud,
+    random_vector,
+    rng,
+    singular_s_cloud,
+    stable_measure,
+    torus_gradient,
+)
 
 
 def write_measure(tmp_path, name, rows, weights):
@@ -353,6 +361,18 @@ def test_balance_near_a_hyperplane_exits_23_without_certificate(tmp_path, method
     out = capsys.readouterr().out
     assert "verdict: ill-conditioned" in out
     doc = json_tail(out)
+    assert doc["verdict"] == "ill-conditioned"
+    assert doc["certificate"] is None
+
+
+@pytest.mark.parametrize("method", ["fixed-point", "geodesic-descent"])
+@pytest.mark.parametrize("seed", SINGULAR_S_SEEDS)
+def test_balance_with_a_rounded_singular_s_exits_23(tmp_path, seed, method, capsys):
+    # cond(S) passes 1/eps before the run stops; it must not exit 2.
+    path = tmp_path / "near.json"
+    path.write_text(singular_s_cloud(seed).to_json(), encoding="utf-8")
+    assert main(["balance", str(path), "--method", method]) == 23
+    doc = json_tail(capsys.readouterr().out)
     assert doc["verdict"] == "ill-conditioned"
     assert doc["certificate"] is None
 

@@ -8,7 +8,15 @@ Runs ``balance(nu, method=...)`` of each checkout on:
   workload (seed 1) and of the ``solve-mix`` workload (seeds 1, 2 and 17),
   with the op's own method;
 - the planted-unstable sweep and the stable sweep of ``tests/helpers.py``
-  (``PLANTED_SWEEP``, ``STABLE_SWEEP``), with both methods.
+  (``PLANTED_SWEEP``, ``STABLE_SWEEP``), with both methods;
+- for i < ``SWEEP_END``, with n = 1 + i % 3 and m = 2 + (i // 3) % 6 and
+  both methods: the near-hyperplane clouds
+  ``near_hyperplane_cloud(r, n, 10.0 ** r.uniform(-9, -6))``, r = rng(i),
+  of the i with i % 4 == 3, and the Gaussian-integer measures
+  ``gaussian_integer_measure(rng(i), n, m)`` of the i with i % 4 == 0.  The
+  clouds drive S toward a singular matrix (they end ``ill-conditioned`` or
+  ``diverged``), and the exact coincidences of the Gaussian-integer atoms
+  make boundary cases common; the other groups have few of either.
 
 One subprocess per checkout imports the package from its ``src/``, with
 BLAS on one thread.  Both sides read the same measure documents, drawn by
@@ -31,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = (("balance-large", 1), ("solve-mix", 1), ("solve-mix", 2), ("solve-mix", 17))
 REPEATS = 3
+SWEEP_END = 1000
 METHODS = ("fixed-point", "geodesic-descent")
 
 # Run in a fresh interpreter: argv is (checkout, inputs file, out file).
@@ -78,6 +87,14 @@ def cases() -> list:
         ("stable", f"stable/n{n}/s{seed}", helpers.stable_measure(helpers.rng(seed), n))
         for n, seed in helpers.STABLE_SWEEP
     ]
+    for i in range(SWEEP_END):
+        n, m, r = 1 + i % 3, 2 + (i // 3) % 6, helpers.rng(i)
+        if i % 4 == 3:
+            nu = helpers.near_hyperplane_cloud(r, n, 10.0 ** r.uniform(-9, -6))
+            sweeps.append(("near-hyperplane", f"near-hyperplane/n{n}/s{i}", nu))
+        elif i % 4 == 0:
+            nu = helpers.gaussian_integer_measure(r, n, m)
+            sweeps.append(("gaussian-integer", f"gaussian-integer/n{n}/m{m}/s{i}", nu))
     for method in METHODS:
         found += [(group, label, nu.to_json(), method) for group, label, nu in sweeps]
     return found
