@@ -21,7 +21,9 @@ strictly more than its share; past COND_LIMIT they stop, diverged on a
 subspace carrying at least its share, else ill-conditioned (the balanced S,
 if any, is beyond the limit).  Atoms are matched to eigenspaces of S
 loosely and the span they found is checked exactly, so the verdict needs
-no classifier.
+no classifier.  Each method only yields its iterates (S, residual, energy);
+one loop in ``balance`` traces them, applies the stop rule and builds the
+result from the last one.
 
 For an interior target state rho (positive definite, trace 1) the equation
 F(g.nu) = rho - Id/(n+1) is solved by Newton steps on the direction
@@ -53,13 +55,12 @@ from .geometry import (
     herm_exp,
     move_rows,
     nested_span_distances,
-    rows_in_span,
     span_basis,
     span_rank,
     traceless_hermitian_basis,
 )
 from .measures import AtomicMeasure
-from .stability import StabilityKind, Subspace, classify
+from .stability import StabilityKind, Subspace, atom_span, classify
 from .util import check_max_iter, check_tol
 
 VERDICT_CONVERGED = "converged"
@@ -96,8 +97,10 @@ class BalanceResult:
     """Outcome of a balancing or target solve.
 
     ``trace`` holds one (iteration, residual, kempf_ness value) triple per
-    iteration, including the starting state.  For the zero-momentum solvers
-    ``g`` is the canonical Hermitian positive square root; for nonzero
+    iteration, including the starting state; ``residual`` and
+    ``iterations`` are those of its last entry.  For the zero-momentum
+    solvers ``g`` is S^(1/2), the Hermitian positive square root of the last
+    iterate S (the identity when that state was not finite); for nonzero
     targets it is the composed group element (a polar representative would
     conjugate the momentum away from the target).
     """
@@ -144,30 +147,23 @@ def _start_element(nu: AtomicMeasure, start) -> np.ndarray:
 
 
 def _tyler_state(z: np.ndarray, w: np.ndarray, s: np.ndarray):
-    """The reweighted scatter R, S^(1/2), residual and energy at S."""
+    """The reweighted scatter R, residual and energy at S."""
     k = s.shape[0]
     q = np.einsum("mb,mb->m", z.conj() @ s, z).real
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
-        return None, None, np.inf, np.inf
+        return None, np.inf, np.inf
     r_mat = (z.T * (w / q)) @ z.conj()
     s_half = _herm_sqrt(s)
     mom = s_half @ r_mat @ s_half - np.eye(k) / k
     residual = float(np.linalg.norm(mom))
     energy = 0.5 * float(w @ np.log(q))
-    return r_mat, s_half, residual, energy
+    return r_mat, residual, energy
 
 
 def _diverging(s: np.ndarray) -> bool:
     """S lost definiteness or cond(S) passed COND_LIMIT: divergence."""
     vals = np.linalg.eigvalsh(s)
     return vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT
-
-
-def _full_span_certificate(nu: AtomicMeasure) -> Subspace:
-    q = span_basis(nu.coeffs)
-    return Subspace(
-        basis=q, atom_indices=tuple(range(nu.atom_count)), mass=1.0
-    )
 
 
 def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
@@ -177,8 +173,7 @@ def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
     EIGENSPACE_MEMBERSHIP_TOL of the span of the j smallest eigenvectors of
     S are taken in order of their distance to it.  Each one not in the
     span of those before it joins a basis, and each basis of at most n
-    atoms spans a subspace (span_basis), widened to every atom in it
-    (rows_in_span): the candidates of ``classify``, so its excess
+    atoms gives its ``atom_span``: the candidates of ``classify``, so its excess
     nu(span) - rank/(n+1) proves instability however its atoms were found.
     Trying every distance cut, not only the one at the tolerance, keeps an
     atom that is near the eigenspace but off a collapsing span from raising
@@ -196,25 +191,19 @@ def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
         if last is not None and np.array_equal(order, last):
             continue  # the same cuts as the last eigenspace
         last = order
-        inside = np.zeros(z.shape[0], dtype=bool)
+        inside = set()
         basis = []
         for i in order:
-            if inside[i]:
+            if i in inside:
                 continue
             basis.append(i)
             if len(basis) == k:
                 break
-            q_span = span_basis(z[sorted(basis)])
-            inside = rows_in_span(q_span, z)
-            mass = float(w[inside].sum())
-            excess = mass - q_span.shape[1] / k
+            span = atom_span(z, w, sorted(basis))
+            inside = set(span.atom_indices)
+            excess = span.mass - span.linear_dim / k
             if excess > best_excess:
-                best_excess = excess
-                best = Subspace(
-                    basis=q_span,
-                    atom_indices=tuple(int(a) for a in np.flatnonzero(inside)),
-                    mass=mass,
-                )
+                best, best_excess = span, excess
     return best, best_excess
 
 
@@ -245,30 +234,14 @@ def _stop_rule(z, w, s, residual, tol, it, max_iter):
     return VERDICT_MAX_ITERATIONS, None
 
 
-def _tyler_balance(z, w, tol, max_iter, g0) -> BalanceResult:
-    k = z.shape[1]
+def _tyler_iterates(z, w, g0):
+    """Tyler's fixed point from S = g0* g0: (S, residual, energy) of each iterate."""
     s = _det_normalize(g0.conj().T @ g0)
-    r_mat, s_half, residual, energy = _tyler_state(z, w, s)
-    trace = [(0, residual, energy)]
-    verdict, certificate = _stop_rule(z, w, s, residual, tol, 0, max_iter)
-    it = 0
-    while verdict == VERDICT_MAX_ITERATIONS and it < max_iter:
-        it += 1
+    while True:
+        r_mat, residual, energy = _tyler_state(z, w, s)
+        yield s, residual, energy
         s = _det_normalize(np.linalg.inv(r_mat))
         s = (s + s.conj().T) / 2.0
-        r_mat, s_half, residual, energy = _tyler_state(z, w, s)
-        trace.append((it, residual, energy))
-        verdict, certificate = _stop_rule(z, w, s, residual, tol, it, max_iter)
-    if s_half is None:  # the last state was not finite
-        s_half = np.eye(k, dtype=complex)
-    return BalanceResult(
-        g=GroupElement(s_half),
-        residual=float(residual),
-        iterations=it,
-        trace=trace,
-        verdict=verdict,
-        certificate=certificate,
-    )
 
 
 def _line_search(trial, objective: float, residual: float, slope: float):
@@ -331,17 +304,13 @@ def _step_scale(mom: np.ndarray, last) -> float:
     return scale
 
 
-def _descent_balance(z, w, tol, max_iter, g) -> BalanceResult:
-    trace = []
-    state = _moved_state(z, w, g)
+def _descent_iterates(z, w, g):
+    """Geodesic descent from g: (S, residual, energy) of each iterate, S the
+    determinant-1 multiple of g* g, until the line search finds no step."""
+    _, mom, residual, energy = _moved_state(z, w, g)
     last = None  # (momentum, step * scale) of the last accepted step
-    for it in range(max_iter + 1):
-        _, mom, residual, energy = state
-        trace.append((it, residual, energy))
-        s_now = _det_normalize(g.conj().T @ g)
-        verdict, certificate = _stop_rule(z, w, s_now, residual, tol, it, max_iter)
-        if verdict != VERDICT_MAX_ITERATIONS or it == max_iter:
-            break
+    while True:
+        yield _det_normalize(g.conj().T @ g), residual, energy
         scale = _step_scale(mom, last)
 
         def trial(step):
@@ -356,30 +325,13 @@ def _descent_balance(z, w, tol, max_iter, g) -> BalanceResult:
         # -d/ds Psi along -scale F is scale * residual^2
         found = _line_search(trial, energy, residual, scale * residual * residual)
         if found is None:  # flat to machine precision; cannot make progress
-            break
-        g, state, t = found
+            return
+        g, (_, mom_next, residual, energy), t = found
         last = (mom, t)
-    s_half = _herm_sqrt(s_now)
-    if verdict in (VERDICT_CONVERGED, VERDICT_MAX_ITERATIONS):
-        _, _, residual, _ = _moved_state(z, w, s_half)
-    return BalanceResult(
-        g=GroupElement(s_half),
-        residual=residual,
-        iterations=it,
-        trace=trace,
-        verdict=verdict,
-        certificate=certificate,
-    )
+        mom = mom_next
 
 
-# balance(method=...) after "_" -> "-" and lowercasing
-_METHODS = {
-    "fixed-point": _tyler_balance,
-    "fixedpoint": _tyler_balance,
-    "geodesic-descent": _descent_balance,
-    "geodesicdescent": _descent_balance,
-    "descent": _descent_balance,
-}
+_METHODS = {"fixed-point": _tyler_iterates, "geodesic-descent": _descent_iterates}
 
 
 def balance(
@@ -406,24 +358,36 @@ def balance(
     check_tol("tol", tol)
     if target_rho is not None:
         return solve_target(nu, target_rho, tol=tol, max_iter=max_iter, start=start)
-    run = _METHODS.get(method.replace("_", "-").lower())
-    if run is None:
+    iterates = _METHODS.get(method)
+    if iterates is None:
         raise InvalidInput(f"unknown balancing method {method!r}")
     z = nu.coeff_matrix()
     w = nu.weights
+    k = nu.dim + 1
     g0 = _start_element(nu, start)
-    if span_rank(z) < nu.dim + 1:
+    if span_rank(z) < k:
         # atoms span a proper subspace: full mass on it, nothing to balance
-        _, s_half, residual, energy = _tyler_state(z, w, _det_normalize(g0.conj().T @ g0))
-        return BalanceResult(
-            g=GroupElement(s_half),
-            residual=residual,
-            iterations=0,
-            trace=[(0, residual, energy)],
-            verdict=VERDICT_DIVERGED,
-            certificate=_full_span_certificate(nu),
-        )
-    return run(z, w, tol, max_iter, g0)
+        s, residual, energy = next(_tyler_iterates(z, w, g0))
+        trace = [(0, residual, energy)]
+        verdict = VERDICT_DIVERGED
+        certificate = Subspace(basis=span_basis(z), atom_indices=tuple(range(len(w))), mass=1.0)
+    else:
+        trace = []
+        for it, (s, residual, energy) in enumerate(iterates(z, w, g0)):
+            trace.append((it, residual, energy))
+            verdict, certificate = _stop_rule(z, w, s, residual, tol, it, max_iter)
+            if verdict != VERDICT_MAX_ITERATIONS or it == max_iter:
+                break
+    # the identity when the last state was not finite
+    g = _herm_sqrt(s) if np.isfinite(residual) else np.eye(k, dtype=complex)
+    return BalanceResult(
+        g=GroupElement(g),
+        residual=residual,
+        iterations=len(trace) - 1,
+        trace=trace,
+        verdict=verdict,
+        certificate=certificate,
+    )
 
 
 def _gram_from_arrays(z: np.ndarray, w: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -538,7 +502,7 @@ def solve_target(
     return BalanceResult(
         g=GroupElement(g),
         residual=residual,
-        iterations=min(len(trace) - 1, max_iter),
+        iterations=len(trace) - 1,
         trace=trace,
         verdict=VERDICT_MAX_ITERATIONS,
     )

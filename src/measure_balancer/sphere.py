@@ -29,7 +29,7 @@ from .balancing import (
 from .errors import InvalidInput
 from .geometry import GroupElement, ProjectivePoint
 from .measures import AtomicMeasure, checked_weights, momentum, pushforward
-from .util import canonical_json, check_max_iter, check_tol, parse_json, read_numbers
+from .util import canonical_json, parse_json, read_numbers
 
 POINT_NORM_TOL = 1e-6  # sphere points may drift this far from unit norm
 
@@ -155,8 +155,6 @@ def hersch_balance(
     certificate, the transformation is the iterate at which it stopped, and
     the center of mass is the untouched one.
     """
-    check_max_iter(max_iter)
-    check_tol("tol", tol)
     nu = to_projective(sm)
     result = balance(nu, tol=tol, max_iter=max_iter)
     moved = pushforward(result.g, nu) if result.verdict == VERDICT_CONVERGED else nu

@@ -134,7 +134,16 @@ class _NotPolystableType:
 NotPolystable = _NotPolystableType()
 
 
-def candidate_subspaces(nu: AtomicMeasure, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+def atom_span(z: np.ndarray, w: np.ndarray, rows) -> Subspace:
+    """The span of the atom rows z[rows], holding every atom in it, with their mass."""
+    q = span_basis(z[rows])
+    inside = np.flatnonzero(rows_in_span(q, z))
+    return Subspace(
+        basis=q, atom_indices=tuple(int(i) for i in inside), mass=float(w[inside].sum())
+    )
+
+
+def candidate_subspaces(nu: AtomicMeasure) -> list:
     """All distinct spans of atom subsets that are proper subspaces.
 
     Subsets of size 1..n suffice: any span has a basis of atoms.  Spans are
@@ -145,9 +154,9 @@ def candidate_subspaces(nu: AtomicMeasure, cap: int = DEFAULT_ENUMERATION_CAP) -
     n = nu.dim
     if n < 1:
         raise InvalidInput("classification needs ambient dimension n >= 1")
-    if m > cap:
+    if m > DEFAULT_ENUMERATION_CAP:
         raise TooManyAtoms(
-            f"{m} atoms exceeds the enumeration cap {cap}; "
+            f"{m} atoms exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}; "
             "use a randomized direction scan instead"
         )
     z = nu.coeff_matrix()  # (m, n+1)
@@ -155,13 +164,10 @@ def candidate_subspaces(nu: AtomicMeasure, cap: int = DEFAULT_ENUMERATION_CAP) -
     out: list[Subspace] = []
     for k in range(1, min(n, m) + 1):
         for subset in combinations(range(m), k):
-            q = span_basis(z[list(subset)])  # rank <= k <= n: always proper
-            key = tuple(np.flatnonzero(rows_in_span(q, z)))
-            if key in seen:
-                continue
-            seen.add(key)
-            mass = float(nu.weights[list(key)].sum())
-            out.append(Subspace(basis=q, atom_indices=key, mass=mass))
+            span = atom_span(z, nu.weights, list(subset))  # rank <= k <= n: always proper
+            if span.atom_indices not in seen:
+                seen.add(span.atom_indices)
+                out.append(span)
     return out
 
 
@@ -177,11 +183,7 @@ def _margin_and_worst(nu: AtomicMeasure, cands: list) -> tuple[float, Subspace]:
     return float(best_margin), best
 
 
-def classify(
-    nu: AtomicMeasure,
-    tol_eq: float = DEFAULT_TOL_EQ,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> StabilityVerdict:
+def classify(nu: AtomicMeasure, tol_eq: float = DEFAULT_TOL_EQ) -> StabilityVerdict:
     """Classify a measure as stable / polystable / semistable / unstable.
 
     The margin is min over candidate subspaces of (dim L + 1)/(n + 1) - nu(L);
@@ -190,7 +192,7 @@ def classify(
     subspace whenever the verdict is not Stable.
     """
     check_tol("tol_eq", tol_eq)
-    cands = candidate_subspaces(nu, cap=cap)
+    cands = candidate_subspaces(nu)
     margin, worst = _margin_and_worst(nu, cands)
     if margin > tol_eq:
         return StabilityVerdict(kind=StabilityKind.STABLE, margin=margin)

@@ -654,7 +654,7 @@ def reference_polystable_decompose(
     if m > cap:
         raise TooManyAtoms(f"{m} atoms exceeds the partition cap {cap}")
     if _known_margin is None:
-        cands = candidate_subspaces(nu, cap=max(cap, 16))
+        cands = candidate_subspaces(nu)
         margin, _ = _margin_and_worst(nu, cands)
     else:
         margin = _known_margin

@@ -151,10 +151,43 @@ def test_balance_is_deterministic():
     assert res1.iterations == res2.iterations
 
 
-def test_unknown_method_raises():
+@pytest.mark.parametrize("method", ["steepest-ascent", "descent", "Fixed_Point"])
+def test_unknown_method_raises(method):
+    # only the documented names are accepted, spelled as documented
     nu = measure_on([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     with pytest.raises(InvalidInput):
-        balance(nu, method="steepest-ascent")
+        balance(nu, method=method)
+
+
+@pytest.mark.parametrize("method", ["fixed-point", "geodesic-descent"])
+@pytest.mark.parametrize(
+    "case", ["converged", "planted-unstable", *SINGULAR_S_SEEDS, "max-iterations", "proper-span"]
+)
+def test_the_result_is_the_last_traced_iterate(case, method):
+    max_iter = DEFAULT_MAX_ITER
+    if case == "converged":
+        nu = stable_measure(rng(3), 2)
+    elif case == "planted-unstable":
+        nu, *_ = unstable_measure(rng(6), 2)
+    elif case == "max-iterations":
+        nu, max_iter = stable_measure(rng(3), 2), 3
+    elif case == "proper-span":
+        nu = measure_on([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1 / 3] * 3)
+    else:
+        nu = singular_s_cloud(case)
+    res = balance(nu, method=method, max_iter=max_iter)
+    expected = {
+        "converged": VERDICT_CONVERGED,
+        "planted-unstable": VERDICT_DIVERGED,
+        "max-iterations": VERDICT_MAX_ITERATIONS,
+        "proper-span": VERDICT_DIVERGED,
+    }.get(case, VERDICT_ILL_CONDITIONED)
+    assert res.verdict == expected
+    assert res.residual == res.trace[-1][1]
+    assert res.iterations == res.trace[-1][0] == len(res.trace) - 1
+    assert [t[0] for t in res.trace] == list(range(len(res.trace)))
+    g = res.g.g
+    assert np.linalg.norm(g - g.conj().T) <= 1e-12 * np.linalg.norm(g)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +233,7 @@ def test_descent_detects_divergence():
 def test_descent_evaluates_each_accepted_iterate_once(case, monkeypatch):
     # The state of an accepted trial point is the next iterate's state, also
     # when the trial renormalized det g (frequent as g degenerates), so the
-    # only other evaluations are the start and, on convergence, the balanced
-    # square root; no point is evaluated twice.
+    # only other evaluation is the start; no point is evaluated twice.
     calls = {"states": 0, "trials": 0}
     points = set()
     moved_state, line_search = balancing._moved_state, balancing._line_search
@@ -224,13 +256,11 @@ def test_descent_evaluates_each_accepted_iterate_once(case, monkeypatch):
         nu, *_ = unstable_measure(rng(6), 2)
         res = balance(nu, method="geodesic-descent")
         assert res.verdict == VERDICT_DIVERGED
-        last = 1  # the start; a diverged run ends without the square root
     else:
         res = balance(stable_measure(rng(case[0]), case[1]), method="geodesic-descent")
         assert res.verdict == VERDICT_CONVERGED
-        last = 2
     assert calls["trials"] >= res.iterations > 0
-    assert calls["states"] == calls["trials"] + last
+    assert calls["states"] == calls["trials"] + 1
     assert len(points) == calls["states"]
 
 

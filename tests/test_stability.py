@@ -135,9 +135,9 @@ def test_candidate_mass_counts_all_contained_atoms():
 
 def test_enumeration_cap_raises():
     r = rng(31)
-    nu = random_measure(r, 1, 6)
+    nu = random_measure(r, 1, 17)
     with pytest.raises(TooManyAtoms):
-        candidate_subspaces(nu, cap=5)
+        candidate_subspaces(nu)
 
 
 # ---------------------------------------------------------------------------
