@@ -49,7 +49,9 @@ from .errors import (
     TargetOutsidePolytope,
 )
 from .geometry import (
+    COMPONENT_TOL,
     EIGENSPACE_MEMBERSHIP_TOL,
+    HERMITIAN_TOL,
     GroupElement,
     SpectralDirection,
     herm_exp,
@@ -60,7 +62,7 @@ from .geometry import (
     traceless_hermitian_basis,
 )
 from .measures import AtomicMeasure
-from .stability import StabilityKind, Subspace, atom_span, classify
+from .stability import DEFAULT_TOL_EQ, StabilityKind, Subspace, atom_span, classify
 from .util import check_max_iter, check_tol
 
 VERDICT_CONVERGED = "converged"
@@ -72,19 +74,14 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 DEFAULT_NEWTON_MAX_ITER = 200  # cap of the Newton solves (target, torus)
 COND_LIMIT = 1e12  # cond(S) beyond this stops a balance as degenerate
-# A span carrying mass - rank/(n+1) above this proves instability; within it
-# of zero the span is tight, which proves nothing (polystable input has such).
-CERT_EXCESS_TOL = 1e-9
 GRAM_COND_LIMIT = 1e14  # cond(Gram) beyond this stops a target solve
-TORUS_SUPPORT_TOL = 1e-12  # |z_ij| above this puts coordinate j in atom i's support
 TORUS_LP_FLOOR = 1e-9  # interiority LP floor delta at or below this: not interior
 TORUS_HESSIAN_RIDGE = 1e-14  # ridge on the reduced torus Hessian, times max(1, max |entry|)
 MIN_STEP = 2.0**-40
 ARMIJO_C = 1e-4
 OBJECTIVE_RESOLUTION = 1e-14  # a decrease below this * max(1, |objective|) is unresolvable
-# Target state checks: ||rho - rho*||_F relative to max(1, ||rho||_F), |tr rho - 1|,
-# and the smallest eigenvalue a positive definite target must reach.
-TARGET_HERMITIAN_TOL = 1e-12
+# Target state checks: |tr rho - 1| and the smallest eigenvalue a positive
+# definite target must reach.
 TARGET_TRACE_TOL = 1e-8
 TARGET_MIN_EIGENVALUE = 1e-10
 TORUS_BETA_SUM_TOL = 1e-9  # |sum beta| above this is InvalidInput
@@ -201,7 +198,7 @@ def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
                 break
             span = atom_span(z, w, sorted(basis))
             inside = set(span.atom_indices)
-            excess = span.mass - span.linear_dim / k
+            excess = -span.margin
             if excess > best_excess:
                 best, best_excess = span, excess
     return best, best_excess
@@ -215,21 +212,21 @@ def _stop_rule(z, w, s, residual, tol, it, max_iter):
     of largest excess when it carries at least its share, else
     ``ill-conditioned``: S degenerated only because balancing needs cond(S)
     beyond COND_LIMIT.  At iterations 1, 2, 4, ... and at the cap,
-    ``diverged`` on a scanned span of excess above CERT_EXCESS_TOL: S
-    collapses onto an over-massive span long before cond(S) reaches
-    COND_LIMIT.  Otherwise ``max-iterations``, which ends a run only at the
-    cap.
+    ``diverged`` on a scanned span of excess above DEFAULT_TOL_EQ (within it
+    the span is tight, which polystable input has): S collapses onto an
+    over-massive span long before cond(S) reaches COND_LIMIT.  Otherwise
+    ``max-iterations``, which ends a run only at the cap.
     """
     if residual <= tol:
         return VERDICT_CONVERGED, None
     if not np.isfinite(residual) or _diverging(s):
         best, excess = _eigenspace_scan(z, w, s)
-        if excess >= -CERT_EXCESS_TOL:
+        if excess >= -DEFAULT_TOL_EQ:
             return VERDICT_DIVERGED, best
         return VERDICT_ILL_CONDITIONED, None
     if it > 0 and (it & (it - 1) == 0 or it == max_iter):
         best, excess = _eigenspace_scan(z, w, s)
-        if excess > CERT_EXCESS_TOL:
+        if excess > DEFAULT_TOL_EQ:
             return VERDICT_DIVERGED, best
     return VERDICT_MAX_ITERATIONS, None
 
@@ -422,7 +419,7 @@ def _validate_target(rho, k: int) -> np.ndarray:
         raise InvalidInput(f"target state must be a {k}x{k} matrix")
     if not np.all(np.isfinite(rho)):
         raise InvalidInput("target state entries must be finite")
-    if np.linalg.norm(rho - rho.conj().T) > TARGET_HERMITIAN_TOL * max(1.0, np.linalg.norm(rho)):
+    if np.linalg.norm(rho - rho.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(rho)):
         raise InvalidInput("target state must be Hermitian")
     rho = (rho + rho.conj().T) / 2.0
     if abs(np.trace(rho).real - 1.0) > TARGET_TRACE_TOL:
@@ -607,7 +604,7 @@ def torus_solve(
     z = nu.coeff_matrix()
     w = nu.weights
     sq = np.abs(z) ** 2  # (m, k)
-    support = np.abs(z) > TORUS_SUPPORT_TOL
+    support = np.abs(z) > COMPONENT_TOL
     _check_torus_target(w, support, p_target)
     with np.errstate(divide="ignore"):
         log_sq = np.where(support, np.log(np.where(support, sq, 1.0)), -np.inf)

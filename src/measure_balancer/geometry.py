@@ -25,16 +25,15 @@ import numpy as np
 from .errors import EmptySpan, InvalidInput, NumericalDegeneracy, ZeroDirection
 
 # Tolerances (absolute unless noted): constants, not per-call options.
-PHASE_PIVOT_TOL = 1e-12  # |z_i| above this counts as the phase pivot
 NORM_SKIP_TOL = 1e-14  # skip renormalization when already unit to this
 # Direction checks; the first two are relative to max(1, ||a||_F).
-HERMITIAN_TOL = 1e-12  # ||a - a*||_F allowed when validating directions
+HERMITIAN_TOL = 1e-12  # ||a - a*||_F allowed in a direction or a target state
 TRACELESS_TOL = 1e-10  # |tr a| allowed when validating directions
 ZERO_DIRECTION_TOL = 1e-14  # ||a||_F below this is a zero direction
 MOMENTUM_TOL = 1e-13  # ||m - m*||_F and |tr m| allowed, relative to max(1, ||m||_F)
 DET_ONE_TOL = 1e-13  # |det g - 1| above this renormalizes a group element
 CLUSTER_TOL = 1e-10  # relative eigenvalue gap that separates clusters
-COMPONENT_TOL = 1e-12  # spectral component norm that counts as present
+COMPONENT_TOL = 1e-12  # a component above this is present: phase pivot, flow strata, torus support
 MIN_VECTOR_NORM = 1e-150  # below this a vector is treated as numerically zero
 # The rank policy: every span, rank and membership decision of the classifier
 # and the balancers goes through span_basis, span_rank, rows_in_span and
@@ -48,24 +47,32 @@ MEMBERSHIP_TOL = 1e-10  # residual norm below which a unit row lies in a span
 EIGENSPACE_MEMBERSHIP_TOL = 1e-4
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Norms of the rows of a 2-d array, bit-equal to np.linalg.norm of each row (axis=1 is not)."""
+    a = np.ascontiguousarray(a)  # np.linalg.norm norms a strided row as a contiguous copy
+    re = a.real.reshape(a.shape[0], 1, -1)
+    im = a.imag.reshape(a.shape[0], 1, -1)
+    # A (1, k) @ (k, 1) product is the BLAS dot that np.linalg.norm uses.
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+
+
 def canonical_rows(rows) -> np.ndarray:
     """Read-only copy of an (m, n+1) array with every row made canonical.
 
     A row is scaled to unit norm (skipped when already unit to NORM_SKIP_TOL)
     and turned by the phase that makes its first coordinate of modulus above
-    PHASE_PIVOT_TOL real and positive; an exact no-op on its own output.
+    COMPONENT_TOL real and positive; an exact no-op on its own output.
     """
     z = np.array(rows, dtype=complex, order="C")
     if z.ndim != 2 or z.shape[1] < 1:
         raise InvalidInput("a projective point needs at least one coordinate")
     if not np.isfinite(z).all():
         raise InvalidInput("projective point coordinates must be finite")
-    # One norm call per row: np.linalg.norm(z, axis=1) differs in the last bit.
-    norms = np.array([float(np.linalg.norm(row)) for row in z])[:, None]
+    norms = row_norms(z)[:, None]
     if (norms < MIN_VECTOR_NORM).any():
         raise NumericalDegeneracy("cannot normalize a (numerically) zero vector")
     np.divide(z, norms, out=z, where=np.abs(norms - 1.0) > NORM_SKIP_TOL)
-    big = np.abs(z) > PHASE_PIVOT_TOL
+    big = np.abs(z) > COMPONENT_TOL
     pivot = (np.arange(z.shape[0]), big.argmax(axis=1))
     if not big[pivot].all():
         raise NumericalDegeneracy("no coordinate exceeds the phase pivot tolerance")
@@ -264,14 +271,6 @@ class SpectralDirection:
         )
 
 
-def _frobenius(h: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a (count, k, k) stack, bit-equal to np.linalg.norm of each matrix."""
-    re = h.real.reshape(h.shape[0], 1, -1)
-    im = h.imag.reshape(h.shape[0], 1, -1)
-    # A (1, k^2) @ (k^2, 1) product is the BLAS dot that np.linalg.norm uses.
-    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
-
-
 def spectral_decompose_stack(mats) -> list[SpectralDirection]:
     """Validate a (count, k, k) stack of direction matrices and decompose it with one eigh.
 
@@ -284,11 +283,11 @@ def spectral_decompose_stack(mats) -> list[SpectralDirection]:
     if not np.all(np.isfinite(a)):
         raise InvalidInput("direction entries must be finite")
     count, k = a.shape[:2]
-    scale = _frobenius(a)
+    scale = row_norms(a.reshape(count, -1))
     if (scale < ZERO_DIRECTION_TOL).any():
         raise ZeroDirection("direction matrix has (numerically) zero norm")
     adj = a.conj().swapaxes(1, 2)
-    if (_frobenius(a - adj) > HERMITIAN_TOL * np.maximum(1.0, scale)).any():
+    if (row_norms((a - adj).reshape(count, -1)) > HERMITIAN_TOL * np.maximum(1.0, scale)).any():
         raise InvalidInput("direction matrix must be Hermitian")
     a = (a + adj) / 2.0
     tr = np.trace(a, axis1=1, axis2=2).real
@@ -414,7 +413,7 @@ def random_direction_matrices(count: int, size: int, seed: int = 0) -> np.ndarra
     x = x[:, 0] + 1j * x[:, 1]
     h = (x + x.conj().swapaxes(1, 2)) / 2.0
     h -= np.eye(size) * (np.trace(h, axis1=1, axis2=2).real / size)[:, None, None]
-    return h / _frobenius(h)[:, None, None]
+    return h / row_norms(h.reshape(count, -1))[:, None, None]
 
 
 def random_directions(count: int, n: int, seed: int = 0) -> list[SpectralDirection]:

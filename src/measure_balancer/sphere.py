@@ -27,7 +27,7 @@ from .balancing import (
     balance,
 )
 from .errors import InvalidInput
-from .geometry import GroupElement, ProjectivePoint
+from .geometry import GroupElement, ProjectivePoint, row_norms
 from .measures import AtomicMeasure, checked_weights, momentum, pushforward
 from .util import canonical_json, parse_json, read_numbers
 
@@ -94,8 +94,7 @@ class SphereMeasure:
 def sphere_rows_to_projective(x: np.ndarray) -> np.ndarray:
     """sphere_point_to_projective on rows; the results are not phase-canonical yet."""
     x = np.asarray(x, dtype=float)
-    # One norm call per row: np.linalg.norm(x, axis=1) differs in the last bit.
-    nrm = np.array([float(np.linalg.norm(row)) for row in x])
+    nrm = row_norms(x)
     if np.any(np.abs(nrm - 1.0) > POINT_NORM_TOL):
         raise InvalidInput("sphere point must have unit norm")
     x = x / nrm[:, None]

@@ -70,6 +70,11 @@ class Subspace:
         return self.basis.shape[1]
 
     @property
+    def margin(self) -> float:
+        """dim/(n+1) - nu(S): the mass this span may still take; negative proves instability."""
+        return self.linear_dim / self.basis.shape[0] - self.mass
+
+    @property
     def proj_dim(self) -> int:
         return self.basis.shape[1] - 1
 
@@ -171,18 +176,6 @@ def candidate_subspaces(nu: AtomicMeasure) -> list:
     return out
 
 
-def _margin_and_worst(nu: AtomicMeasure, cands: list) -> tuple[float, Subspace]:
-    n = nu.dim
-    best = None
-    best_margin = np.inf
-    for c in cands:
-        margin = c.linear_dim / (n + 1) - c.mass
-        if margin < best_margin:
-            best_margin = margin
-            best = c
-    return float(best_margin), best
-
-
 def classify(nu: AtomicMeasure, tol_eq: float = DEFAULT_TOL_EQ) -> StabilityVerdict:
     """Classify a measure as stable / polystable / semistable / unstable.
 
@@ -193,7 +186,8 @@ def classify(nu: AtomicMeasure, tol_eq: float = DEFAULT_TOL_EQ) -> StabilityVerd
     """
     check_tol("tol_eq", tol_eq)
     cands = candidate_subspaces(nu)
-    margin, worst = _margin_and_worst(nu, cands)
+    worst = min(cands, key=lambda c: c.margin)  # the first of equal margins
+    margin = worst.margin
     if margin > tol_eq:
         return StabilityVerdict(kind=StabilityKind.STABLE, margin=margin)
     if margin < -tol_eq:
@@ -222,7 +216,7 @@ def _tight_flat_splitting(
     C^(n+1); the blocks are then those flats, ordered by smallest atom.
     """
     k = nu.dim + 1
-    tight = [c for c in cands if abs(c.linear_dim / k - c.mass) <= tol_eq]
+    tight = [c for c in cands if abs(c.margin) <= tol_eq]
     atom_sets = [frozenset(c.atom_indices) for c in tight]
     minimal = [c for c, s in zip(tight, atom_sets) if not any(t < s for t in atom_sets)]
     minimal.sort(key=lambda c: c.atom_indices[0])

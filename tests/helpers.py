@@ -39,7 +39,6 @@ from measure_balancer import (
     spectral_decompose,
 )
 from measure_balancer.geometry import CLUSTER_TOL
-from measure_balancer.stability import _margin_and_worst
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -282,8 +281,13 @@ def semistable_measure(r: np.random.Generator, n: int) -> AtomicMeasure:
 def near_hyperplane_cloud(r: np.random.Generator, n: int, eps: float) -> AtomicMeasure:
     """n+2 equal atoms within about eps of the hyperplane z_n = 0 of C^(n+1).
 
-    At eps of 1e-9 and above they span C^(n+1) at the package's rank cutoff,
-    and the measure is stable; balancing it needs cond(S) of order eps^-2.
+    Balancing a stable one needs cond(S) of order eps^-2, but it need not be
+    stable.  At n = 1 the hyperplane is one point, and atoms within about
+    1.4e-6 of each other merge (overlap 1 - 1e-12): with r = rng(i) and
+    eps = 10 ** r.uniform(-9, -6), 329 of the 334 n = 1 inputs of
+    i = 3 mod 4, i < 4000 merge to one or two atoms.  Near eps = 1e-9, n + 1
+    of the atoms can lie within the rank cutoff of an n-dimensional span,
+    which makes the measure unstable (RANK_BOUNDARY_SEEDS).
     """
     m = n + 2
     z = np.array([np.append(random_vector(r, n), eps * random_vector(r, 1)) for _ in range(m)])
@@ -299,6 +303,17 @@ SINGULAR_S_SEEDS = (367, 1699, 2743, 2935)
 def singular_s_cloud(seed: int) -> AtomicMeasure:
     r = rng(seed)
     return near_hyperplane_cloud(r, 2, 10.0 ** r.uniform(-9, -6))
+
+
+# Seeds i of near_hyperplane_cloud(r, 1 + i % 3, 10 ** r.uniform(-9, -6)),
+# r = rng(i), at eps from 1.1e-9 to 2.6e-9: n + 1 of the n + 2 atoms lie within
+# MEMBERSHIP_TOL of an n-dimensional span, so classify says unstable.
+RANK_BOUNDARY_SEEDS = (751, 167, 431, 1319, 3875)
+
+
+def rank_boundary_cloud(seed: int) -> AtomicMeasure:
+    r = rng(seed)
+    return near_hyperplane_cloud(r, 1 + seed % 3, 10 ** r.uniform(-9, -6))
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +669,7 @@ def reference_polystable_decompose(
     if m > cap:
         raise TooManyAtoms(f"{m} atoms exceeds the partition cap {cap}")
     if _known_margin is None:
-        cands = candidate_subspaces(nu)
-        margin, _ = _margin_and_worst(nu, cands)
+        margin = min(c.margin for c in candidate_subspaces(nu))
     else:
         margin = _known_margin
     if margin < -tol_eq:

@@ -39,11 +39,12 @@ from measure_balancer import (
     torus_solve,
     traceless_hermitian_basis,
 )
-from measure_balancer import balancing
+from measure_balancer import balancing, stability
 from measure_balancer.balancing import DEFAULT_MAX_ITER, _torus_lp
 
 from helpers import (
     PLANTED_SWEEP,
+    RANK_BOUNDARY_SEEDS,
     SINGULAR_S_SEEDS,
     STABLE_SWEEP,
     bisection_torus_n1,
@@ -55,6 +56,7 @@ from helpers import (
     polystable_measure,
     random_measure,
     random_traceless_hermitian,
+    rank_boundary_cloud,
     reference_gram,
     reference_torus_lp,
     rng,
@@ -611,7 +613,7 @@ def test_planted_unstable_measures_are_certified_within_the_cap(method):
             nu, *_ = unstable_measure(rng(seed), n)
             res = balance(nu, method=method)
             assert res.verdict == VERDICT_DIVERGED, (n, seed, res.verdict)
-            assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+            assert certified_excess(nu, res.certificate.atom_indices) > stability.DEFAULT_TOL_EQ
             stops.append(res.iterations)
     # every stop is a checkpoint scan: iteration 2^j or the cap
     assert all(it & (it - 1) == 0 or it == DEFAULT_MAX_ITER for it in stops)
@@ -647,7 +649,7 @@ def test_both_methods_certify_the_fixed_point_stalls(rows, weights, method):
     nu = measure_on(np.array(rows, dtype=complex), weights)
     res = balance(nu, method=method)
     assert res.verdict == VERDICT_DIVERGED
-    assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+    assert certified_excess(nu, res.certificate.atom_indices) > stability.DEFAULT_TOL_EQ
     assert res.iterations <= 64
 
 
@@ -673,7 +675,7 @@ def test_an_atom_near_the_collapsing_span_does_not_hide_it(n, method):
     res = balance(nu, method=method)
     assert res.verdict == VERDICT_DIVERGED
     assert res.certificate.atom_indices == (0,)
-    assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+    assert certified_excess(nu, res.certificate.atom_indices) > stability.DEFAULT_TOL_EQ
     assert res.iterations <= 64
 
 
@@ -705,7 +707,7 @@ def test_diverged_always_carries_a_violated_subspace(kind, seed, n, method):
     if classify(nu).kind is StabilityKind.STABLE:
         assert res.verdict != VERDICT_DIVERGED
     if res.verdict == VERDICT_DIVERGED:
-        assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+        assert certified_excess(nu, res.certificate.atom_indices) > stability.DEFAULT_TOL_EQ
 
 
 @settings(max_examples=700, deadline=None, derandomize=True, database=None)
@@ -721,7 +723,7 @@ def test_balancing_agrees_with_the_classifier_on_exact_coincidences(seed, n, m):
         res = balance(nu, method=method)
         if kind is StabilityKind.UNSTABLE:
             assert res.verdict == VERDICT_DIVERGED, (method, res.verdict)
-            assert certified_excess(nu, res.certificate.atom_indices) > balancing.CERT_EXCESS_TOL
+            assert certified_excess(nu, res.certificate.atom_indices) > stability.DEFAULT_TOL_EQ
         else:
             assert res.verdict == VERDICT_CONVERGED, (method, kind, res.verdict)
 
@@ -749,6 +751,28 @@ def test_a_rounded_singular_s_is_ill_conditioned_not_an_error(seed, method):
     assert res.verdict == VERDICT_ILL_CONDITIONED
     assert res.certificate is None
     assert np.all(np.isfinite(res.g.g))
+
+
+@pytest.mark.parametrize(
+    "seed, method",
+    [
+        pytest.param(
+            seed,
+            method,
+            # the scan misses the classifier's span and the run ends ill-conditioned
+            marks=[] if (seed, method) == (167, "geodesic-descent")
+            else pytest.mark.xfail(strict=True, reason="ROADMAP item 3"),
+        )
+        for seed in RANK_BOUNDARY_SEEDS
+        for method in METHODS
+    ],
+)
+def test_unstable_input_at_the_rank_cutoff_is_certified_diverged(seed, method):
+    nu = rank_boundary_cloud(seed)
+    assert classify(nu).kind is StabilityKind.UNSTABLE
+    res = balance(nu, method=method)
+    assert res.verdict == VERDICT_DIVERGED
+    assert -res.certificate.margin > stability.DEFAULT_TOL_EQ
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -50,6 +50,27 @@ def test_a_stderr_difference_is_reported():
     ]
 
 
+def test_a_trace_difference_is_reported_and_a_missing_trace_reads_as_empty():
+    trace = "iteration,residual,kempf_ness\n0,0.5,0\n1,1e-11,-0.25\n"
+    ours = [
+        dict(record("balance-large/1/3"), trace=trace),
+        record("balance-large/1/4"),
+        dict(record("balance-large/1/5"), trace=trace),
+    ]
+    theirs = [
+        dict(record("balance-large/1/3"), trace=trace.replace("1e-11", "2e-11")),
+        dict(record("balance-large/1/4"), trace=""),
+        dict(record("balance-large/1/5"), trace=trace),
+    ]
+    assert cli_diff.differences(ours, theirs) == [
+        (
+            "balance-large/1/3",
+            "balance",
+            "trace line 3: 1,1e-11,-0.25 | 1,2e-11,-0.25 (numbers only, largest difference 1e-11)",
+        )
+    ]
+
+
 def test_a_difference_in_numbers_only_reports_the_largest_one():
     ours = [
         record("solve-mix/1/11", kind="weight", out="lambda,flow\n0.5,0.25\n1,-2e-3\n"),

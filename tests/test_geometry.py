@@ -23,7 +23,12 @@ from measure_balancer import (
     spectral_decompose,
     traceless_hermitian_basis,
 )
-from measure_balancer.geometry import nested_span_distances, rows_in_span, spectral_decompose_stack
+from measure_balancer.geometry import (
+    nested_span_distances,
+    row_norms,
+    rows_in_span,
+    spectral_decompose_stack,
+)
 
 from helpers import (
     hermitian_exp,
@@ -407,3 +412,14 @@ def test_nested_span_masks_match_one_membership_test_per_span():
         got = nested_span_distances(v, z, tol=1e-8) <= 1e-8
         assert got.shape == (40, k - 1) and np.array_equal(got, want)
         assert want.any() and not want.all()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_row_norms_equal_the_norm_of_each_row_bit_for_bit(dtype, order):
+    r = rng(97)
+    for k in range(1, 33):
+        m = int(r.integers(1, 401))
+        x = r.standard_normal((m, k)) + (1j * r.standard_normal((m, k)) if dtype is complex else 0.0)
+        x = np.asarray(x * 10.0 ** r.uniform(-140, 140, size=(m, 1)), order=order)
+        assert np.array_equal(row_norms(x), [np.linalg.norm(row) for row in x]), (k, m)

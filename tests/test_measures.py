@@ -1,5 +1,8 @@
 """Atomic measures: validation, serialization, momentum, Kempf-Ness energy."""
 
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,9 @@ from measure_balancer import (
     kempf_ness_derivative,
     momentum,
     pushforward,
+    SphereMeasure,
     spectral_decompose,
+    to_projective,
 )
 from measure_balancer.geometry import canonical_rows
 
@@ -184,6 +189,23 @@ def test_bad_rows_fail_alike_on_every_path(row, expected):
         assert isinstance(point, bytes)
     else:
         assert point == expected
+
+
+def _most_calls(construct) -> int:
+    profile = cProfile.Profile()
+    profile.runcall(construct)
+    return max(ncalls for ncalls, *_ in pstats.Stats(profile).stats.values())
+
+
+def test_measure_construction_makes_no_call_per_row():
+    r = rng(94)
+    m = 200
+    rows = r.standard_normal((m, 6)) + 1j * r.standard_normal((m, 6))
+    x = r.standard_normal((m, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    w = r.dirichlet(np.ones(m))
+    assert _most_calls(lambda: AtomicMeasure(rows, w)) < m
+    assert _most_calls(lambda: to_projective(SphereMeasure(x, w))) < m
 
 
 # ---------------------------------------------------------------------------

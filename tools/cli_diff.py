@@ -6,9 +6,10 @@ Runs every op of the ``classify-small``, ``balance-large`` and ``solve-mix``
 benchmark workloads, seeds 1 and 2, through ``measure_balancer.cli.main`` of each
 checkout: one subprocess per checkout, importing the package from its
 ``src/``, with BLAS on one thread.  Both sides get the same inputs, drawn
-by this checkout's ``perfbench/inputs.py``.  Prints the op, its kind and
-the first differing line of each op whose exit code, stdout or stderr
-differ, followed by the largest absolute difference when the two outputs
+by this checkout's ``perfbench/inputs.py``, and every ``balance`` op also
+writes its ``--trace`` CSV.  Prints the op, its kind and the first
+differing line of each op whose exit code, stdout, stderr or trace differ,
+followed by the largest absolute difference when the two outputs
 differ only in their numbers.  Ends with one line per op kind: its
 differing ops over its total, and the largest of those differences.  Exits
 1 if any op differs, 0 if none does.
@@ -27,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = tuple((name, seed) for name in ("classify-small", "balance-large", "solve-mix") for seed in (1, 2))
+_FIELDS = {"code": "exit", "out": "stdout", "err": "stderr", "trace": "trace"}
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 # Run in a fresh interpreter: argv is (checkout, perfbench dir, work dir, out file).
@@ -46,16 +48,20 @@ for name, seed in json.loads(sys.argv[5]):
     os.chdir(work)
     for op in wl.ops:
         out, err = io.StringIO(), io.StringIO()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove("trace.csv")
+        argv = op.argv + ["--trace", "trace.csv"] if op.argv[0] == "balance" else op.argv
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(op.argv)
+                code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:
             code = None
             err.write(f"{type(exc).__name__}: {exc}\\n")
-        records.append({"op": f"{name}/{seed}/{op.op_id}", "kind": op.kind,
-                        "code": code, "out": out.getvalue(), "err": err.getvalue()})
+        trace = open("trace.csv", encoding="utf-8").read() if os.path.exists("trace.csv") else ""
+        records.append({"op": f"{name}/{seed}/{op.op_id}", "kind": op.kind, "code": code,
+                        "out": out.getvalue(), "err": err.getvalue(), "trace": trace})
 with open(out_path, "w", encoding="utf-8") as fh:
     json.dump(records, fh)
 """
@@ -80,7 +86,11 @@ def _number_difference(ours: str, theirs: str):
 
 
 def _compare(ours: list, theirs: list) -> list:
-    """(op, kind, first differing line, numeric difference or None) per differing op."""
+    """(op, kind, first differing line, numeric difference or None) per differing op.
+
+    The fields are compared in the order exit code, stdout, stderr, trace; a
+    record without a trace reads as an empty one.
+    """
     other = {rec["op"]: rec for rec in theirs}
     found = []
     for rec in ours:
@@ -88,16 +98,17 @@ def _compare(ours: list, theirs: list) -> list:
         if match is None:
             found.append((rec["op"], rec["kind"], "missing in the other checkout", None))
             continue
-        field = next((f for f in ("code", "out", "err") if rec[f] != match[f]), None)
+        field = next((f for f in _FIELDS if rec.get(f, "") != match.get(f, "")), None)
         if field == "code":
             found.append((rec["op"], rec["kind"], f"exit {rec['code']} | {match['code']}", None))
         elif field is not None:
-            a, b = rec[field].splitlines(), match[field].splitlines()
+            ours_text, theirs_text = rec.get(field, ""), match.get(field, "")
+            a, b = ours_text.splitlines(), theirs_text.splitlines()
             i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
             x = a[i] if i < len(a) else "<end>"
             y = b[i] if i < len(b) else "<end>"
-            line = f"{'stdout' if field == 'out' else 'stderr'} line {i + 1}: {x} | {y}"
-            largest = _number_difference(rec[field], match[field])
+            line = f"{_FIELDS[field]} line {i + 1}: {x} | {y}"
+            largest = _number_difference(ours_text, theirs_text)
             if largest is not None:
                 line += f" (numbers only, largest difference {largest:.2g})"
             found.append((rec["op"], rec["kind"], line, largest))
