@@ -21,15 +21,17 @@ strictly more than its share; past COND_LIMIT they stop, diverged on a
 subspace carrying at least its share, else ill-conditioned (the balanced S,
 if any, is beyond the limit).  Atoms are matched to eigenspaces of S
 loosely and the span they found is checked exactly, so the verdict needs
-no classifier.  Each method only yields its iterates (S, residual, energy);
-one loop in ``balance`` traces them, applies the stop rule and builds the
-result from the last one.
+no classifier.
 
 For an interior target state rho (positive definite, trace 1) the equation
 F(g.nu) = rho - Id/(n+1) is solved by Newton steps on the direction
-coefficients, using the Gram operator of the momentum derivative.  The
-diagonal-torus version (targets on the momentum polytope of the coordinate
-torus) is a damped Newton solve of a convex log-sum-exp objective.
+coefficients, using the Gram operator of the momentum derivative.  It needs
+a stable measure, where no span carries its share, so it stops only
+converged or at the cap.  Each solve only yields its iterates; one loop,
+``_solve``, traces them, applies the solve's stop rule and builds the
+result from the last one.  The diagonal-torus version (targets on the
+momentum polytope of the coordinate torus) is a damped Newton solve of a
+convex log-sum-exp objective.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ class BalanceResult:
     solvers ``g`` is S^(1/2), the Hermitian positive square root of the last
     iterate S (the identity when that state was not finite); for nonzero
     targets it is the composed group element (a polar representative would
-    conjugate the momentum away from the target).
+    conjugate the momentum away from the target), and a target solve ends
+    only converged or max-iterations.
     """
 
     g: GroupElement
@@ -232,11 +235,11 @@ def _stop_rule(z, w, s, residual, tol, it, max_iter):
 
 
 def _tyler_iterates(z, w, g0):
-    """Tyler's fixed point from S = g0* g0: (S, residual, energy) of each iterate."""
+    """Tyler's fixed point from S = g0* g0: (S, residual, energy, None) of each iterate."""
     s = _det_normalize(g0.conj().T @ g0)
     while True:
         r_mat, residual, energy = _tyler_state(z, w, s)
-        yield s, residual, energy
+        yield s, residual, energy, None
         s = _det_normalize(np.linalg.inv(r_mat))
         s = (s + s.conj().T) / 2.0
 
@@ -302,12 +305,12 @@ def _step_scale(mom: np.ndarray, last) -> float:
 
 
 def _descent_iterates(z, w, g):
-    """Geodesic descent from g: (S, residual, energy) of each iterate, S the
-    determinant-1 multiple of g* g, until the line search finds no step."""
+    """Geodesic descent from g: (S, residual, energy, None) of each iterate, S
+    the determinant-1 multiple of g* g, until the line search finds no step."""
     _, mom, residual, energy = _moved_state(z, w, g)
     last = None  # (momentum, step * scale) of the last accepted step
     while True:
-        yield _det_normalize(g.conj().T @ g), residual, energy
+        yield _det_normalize(g.conj().T @ g), residual, energy, None
         scale = _step_scale(mom, last)
 
         def trial(step):
@@ -331,6 +334,28 @@ def _descent_iterates(z, w, g):
 _METHODS = {"fixed-point": _tyler_iterates, "geodesic-descent": _descent_iterates}
 
 
+def _solve(z, w, iterates, tol: float, max_iter: int, stop=_stop_rule) -> BalanceResult:
+    """Trace each iterate (S, residual, energy, g), stop at the first final
+    verdict of ``stop(z, w, S, residual, tol, it, max_iter)`` or at the cap,
+    and report the last iterate's g, or S^(1/2) if g is None."""
+    trace = []
+    for it, (s, residual, energy, g) in enumerate(iterates):
+        trace.append((it, residual, energy))
+        verdict, certificate = stop(z, w, s, residual, tol, it, max_iter)
+        if verdict != VERDICT_MAX_ITERATIONS or it == max_iter:
+            break
+    if g is None:  # the identity when the last state was not finite
+        g = _herm_sqrt(s) if np.isfinite(residual) else np.eye(len(s), dtype=complex)
+    return BalanceResult(
+        g=GroupElement(g),
+        residual=residual,
+        iterations=len(trace) - 1,
+        trace=trace,
+        verdict=verdict,
+        certificate=certificate,
+    )
+
+
 def balance(
     nu: AtomicMeasure,
     target_rho: np.ndarray | None = None,
@@ -346,45 +371,26 @@ def balance(
     nu : AtomicMeasure
     target_rho : optional (n+1, n+1) positive definite trace-1 matrix; when
         given the solve is delegated to :func:`solve_target`.
-    method : "fixed-point" (default) or "geodesic-descent".
+    method : "fixed-point" (default) or "geodesic-descent", checked first.
     tol : momentum residual (Frobenius) declared converged.
     max_iter : iteration cap.
     start : optional GroupElement used as the starting iterate.
     """
     check_max_iter(max_iter)
     check_tol("tol", tol)
-    if target_rho is not None:
-        return solve_target(nu, target_rho, tol=tol, max_iter=max_iter, start=start)
     iterates = _METHODS.get(method)
     if iterates is None:
         raise InvalidInput(f"unknown balancing method {method!r}")
-    z = nu.coeff_matrix()
-    w = nu.weights
-    k = nu.dim + 1
+    if target_rho is not None:
+        return solve_target(nu, target_rho, tol=tol, max_iter=max_iter, start=start)
+    z, w = nu.coeff_matrix(), nu.weights
     g0 = _start_element(nu, start)
-    if span_rank(z) < k:
+    stop = _stop_rule
+    if span_rank(z) < nu.dim + 1:
         # atoms span a proper subspace: full mass on it, nothing to balance
-        s, residual, energy = next(_tyler_iterates(z, w, g0))
-        trace = [(0, residual, energy)]
-        verdict = VERDICT_DIVERGED
-        certificate = Subspace(basis=span_basis(z), atom_indices=tuple(range(len(w))), mass=1.0)
-    else:
-        trace = []
-        for it, (s, residual, energy) in enumerate(iterates(z, w, g0)):
-            trace.append((it, residual, energy))
-            verdict, certificate = _stop_rule(z, w, s, residual, tol, it, max_iter)
-            if verdict != VERDICT_MAX_ITERATIONS or it == max_iter:
-                break
-    # the identity when the last state was not finite
-    g = _herm_sqrt(s) if np.isfinite(residual) else np.eye(k, dtype=complex)
-    return BalanceResult(
-        g=GroupElement(g),
-        residual=residual,
-        iterations=len(trace) - 1,
-        trace=trace,
-        verdict=verdict,
-        certificate=certificate,
-    )
+        span = Subspace(basis=span_basis(z), atom_indices=tuple(range(len(w))), mass=1.0)
+        iterates, stop = _tyler_iterates, lambda *_: (VERDICT_DIVERGED, span)
+    return _solve(z, w, iterates(z, w, g0), tol, max_iter, stop)
 
 
 def _gram_from_arrays(z: np.ndarray, w: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -431,53 +437,26 @@ def _validate_target(rho, k: int) -> np.ndarray:
     return rho
 
 
-def solve_target(
-    nu: AtomicMeasure,
-    rho,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-    start: GroupElement | None = None,
-) -> BalanceResult:
-    """Solve F(g.nu) = rho - Id/(n+1) for an interior target state rho.
+def _target_stop(z, w, s, residual, tol, it, max_iter):
+    """(verdict, certificate) of a target solve: converged or max-iterations."""
+    return (VERDICT_CONVERGED if residual <= tol else VERDICT_MAX_ITERATIONS), None
 
-    Requires nu stable (checked first).  Newton steps on direction
-    coefficients use the Gram operator of the momentum derivative at the
-    current configuration, with Armijo backtracking on the squared residual.
-    """
-    check_max_iter(max_iter)
-    check_tol("tol", tol)
-    k = nu.dim + 1
-    rho = _validate_target(rho, k)
-    verdict = classify(nu)
-    if verdict.kind is not StabilityKind.STABLE:
-        raise NotStable(f"target solve needs a stable measure, got {verdict.kind.value}")
+
+def _target_iterates(z, w, g, rho):
+    """Newton on F(g.nu) = rho - Id/(n+1) from g: (None, residual, energy, g)
+    of each iterate (its stop reads no S), until the line search finds no step."""
+    k = z.shape[1]
     beta = rho - np.eye(k) / k
     basis = np.array(traceless_hermitian_basis(k))  # (k^2 - 1, k, k)
-    z = nu.coeff_matrix()
-    w = nu.weights
-    g = _start_element(nu, start)
-    trace = []
     unit, mom, residual, energy = _moved_state(z, w, g, beta)
-    for it in range(max_iter + 1):
-        trace.append((it, residual, energy))
-        if residual <= tol:
-            return BalanceResult(
-                g=GroupElement(g),
-                residual=residual,
-                iterations=it,
-                trace=trace,
-                verdict=VERDICT_CONVERGED,
-            )
-        if it == max_iter:
-            break
+    while True:
+        yield None, residual, energy, g
         gram = _gram_from_arrays(unit, w, basis)
         rhs = np.einsum("ab,jba->j", beta - mom, basis).real  # tr((beta - F) A_j)
         try:
             cond = np.linalg.cond(gram)
             if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
-                raise SingularGram(
-                    f"Gram operator condition number {cond:.3e} is too large"
-                )
+                raise SingularGram(f"Gram operator condition number {cond:.3e} is too large")
             coeffs = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularGram("Gram operator solve failed") from exc
@@ -494,15 +473,35 @@ def solve_target(
         # Newton on the squared residual: its rate of decrease is residual^2
         found = _line_search(trial, residual * residual, residual, residual * residual)
         if found is None:
-            break
+            return
         g, (unit, mom, residual, energy) = found
-    return BalanceResult(
-        g=GroupElement(g),
-        residual=residual,
-        iterations=len(trace) - 1,
-        trace=trace,
-        verdict=VERDICT_MAX_ITERATIONS,
-    )
+
+
+def solve_target(
+    nu: AtomicMeasure,
+    rho,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_NEWTON_MAX_ITER,
+    start: GroupElement | None = None,
+) -> BalanceResult:
+    """Solve F(g.nu) = rho - Id/(n+1) for an interior target state rho.
+
+    Requires nu stable (checked first).  Newton steps on direction
+    coefficients use the Gram operator of the momentum derivative at the
+    current configuration, with Armijo backtracking on the squared residual.
+    No span of a stable measure carries its share, so the solve stops only
+    converged or at the cap (also when no step is found); cond(g* g) is not
+    limited, only the Gram operator's (SingularGram).
+    """
+    check_max_iter(max_iter)
+    check_tol("tol", tol)
+    rho = _validate_target(rho, nu.dim + 1)
+    verdict = classify(nu)
+    if verdict.kind is not StabilityKind.STABLE:
+        raise NotStable(f"target solve needs a stable measure, got {verdict.kind.value}")
+    z, w = nu.coeff_matrix(), nu.weights
+    g = _start_element(nu, start)
+    return _solve(z, w, _target_iterates(z, w, g, rho), tol, max_iter, _target_stop)
 
 
 # ---------------------------------------------------------------------------

@@ -153,17 +153,27 @@ def test_balance_is_deterministic():
     assert res1.iterations == res2.iterations
 
 
-@pytest.mark.parametrize("method", ["steepest-ascent", "descent", "Fixed_Point"])
-def test_unknown_method_raises(method):
-    # only the documented names are accepted, spelled as documented
-    nu = measure_on([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
-    with pytest.raises(InvalidInput):
-        balance(nu, method=method)
-
-
-@pytest.mark.parametrize("method", ["fixed-point", "geodesic-descent"])
 @pytest.mark.parametrize(
-    "case", ["converged", "planted-unstable", *SINGULAR_S_SEEDS, "max-iterations", "proper-span"]
+    "method, target",
+    [("steepest-ascent", None), ("descent", None), ("Fixed_Point", None), ("steepest-ascent", "target")],
+    ids=["steepest-ascent", "descent", "Fixed_Point", "steepest-ascent-with-target"],
+)
+def test_unknown_method_raises(method, target):
+    # only the documented names are accepted, spelled as documented, and the
+    # name is checked also when a target solve does not use it
+    nu = measure_on([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1 / 3] * 3)
+    target_rho = None if target is None else np.diag([0.6, 0.4])
+    with pytest.raises(InvalidInput, match="unknown balancing method"):
+        balance(nu, target_rho=target_rho, method=method)
+
+
+LAST_ITERATE_CASES = ["converged", "planted-unstable", *SINGULAR_S_SEEDS, "max-iterations", "proper-span"]
+
+
+@pytest.mark.parametrize(
+    "case, method",
+    [(case, method) for method in ("fixed-point", "geodesic-descent") for case in LAST_ITERATE_CASES]
+    + [("converged", "target"), ("max-iterations", "target")],
 )
 def test_the_result_is_the_last_traced_iterate(case, method):
     max_iter = DEFAULT_MAX_ITER
@@ -177,7 +187,11 @@ def test_the_result_is_the_last_traced_iterate(case, method):
         nu = measure_on([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1 / 3] * 3)
     else:
         nu = singular_s_cloud(case)
-    res = balance(nu, method=method, max_iter=max_iter)
+    rho = np.diag([0.5, 0.3, 0.2])
+    if method == "target":
+        res = balance(nu, target_rho=rho, max_iter=max_iter)
+    else:
+        res = balance(nu, method=method, max_iter=max_iter)
     expected = {
         "converged": VERDICT_CONVERGED,
         "planted-unstable": VERDICT_DIVERGED,
@@ -189,7 +203,11 @@ def test_the_result_is_the_last_traced_iterate(case, method):
     assert res.iterations == res.trace[-1][0] == len(res.trace) - 1
     assert [t[0] for t in res.trace] == list(range(len(res.trace)))
     g = res.g.g
-    assert np.linalg.norm(g - g.conj().T) <= 1e-12 * np.linalg.norm(g)
+    if method != "target":  # S^(1/2)
+        assert np.linalg.norm(g - g.conj().T) <= 1e-12 * np.linalg.norm(g)
+    elif case == "converged":  # the composed element, not a polar factor
+        moved = momentum(pushforward(res.g, nu)).m
+        assert np.linalg.norm(moved - (rho - np.eye(3) / 3)) <= balancing.DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +412,8 @@ def test_solve_target_validates_the_state():
         solve_target(nu, np.array([[0.5, 0.3], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(InvalidInput):
         solve_target(nu, np.eye(3) / 3.0)  # wrong size
+    with pytest.raises(InvalidInput, match="target state entries must be finite"):
+        solve_target(nu, np.diag([np.nan, 0.5]))
 
 
 def test_solve_target_rejects_an_overflowing_trial_step():
@@ -407,6 +427,37 @@ def test_solve_target_rejects_an_overflowing_trial_step():
             solve_target(nu, np.diag([0.01, 0.99]))
         except BalancerError as exc:
             assert not isinstance(exc, InvalidInput), exc
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, balancing.TARGET_MIN_EIGENVALUE])
+def test_targets_down_to_the_eigenvalue_floor_converge(seed, eps):
+    # the target stop never cuts a valid target solve short
+    nu = stable_measure(rng(seed), 2)
+    rho = np.diag([eps, (1 - eps) / 2, (1 - eps) / 2])
+    res = solve_target(nu, rho)
+    assert res.verdict == VERDICT_CONVERGED
+    assert res.residual <= balancing.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("b", [0.01, 0.001])
+def test_a_target_needing_cond_past_cond_limit_converges(b):
+    # nu = ([1:b] + [1:-b] + [0:1])/3 is stable (no atom carries 1/2).  The
+    # off-diagonal terms cancel, so rho = diag(eps, 1 - eps) is reached by
+    # g = diag(s, 1/s) with (2/3) s^4 / b^2 = eps: cond(g* g) = 1/s^4 is
+    # far past COND_LIMIT, which bounds balancing but not a target solve.
+    # Newton from the identity overshoots onto [0:1] (SingularGram), so the
+    # solve starts at 3 s.
+    eps = balancing.TARGET_MIN_EIGENVALUE
+    nu = measure_on([[1.0, b], [1.0, -b], [0.0, 1.0]], [1 / 3] * 3)
+    s = 3 * (1.5 * eps * b * b) ** 0.25
+    rho = np.diag([eps, 1 - eps])
+    res = solve_target(nu, rho, start=GroupElement(np.diag([s, 1 / s])))
+    assert res.verdict == VERDICT_CONVERGED
+    g = res.g.g
+    assert np.linalg.cond(g.conj().T @ g) > 10 * balancing.COND_LIMIT
+    moved = momentum(pushforward(res.g, nu)).m
+    assert np.linalg.norm(moved - (rho - np.eye(2) / 2)) <= balancing.DEFAULT_TOL
 
 
 def test_solve_target_requires_stability():

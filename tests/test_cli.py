@@ -200,6 +200,48 @@ def test_classify_malformed_json_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# (command, document read as DOC, message on stderr) of each input check
+MALFORMED_INPUTS = {
+    "matrix-not-object": (["weight", "STABLE", "--direction", "DOC"], "[1, 2]", "DOC: expected a JSON object"),
+    "matrix-key-missing": (["weight", "STABLE", "--direction", "DOC"], '{"b": []}',
+                           'DOC: direction document needs key "a"'),
+    "matrix-rows-empty": (["weight", "STABLE", "--direction", "DOC"], '{"a": []}',
+                          "expected a non-empty list of matrix rows"),
+    "matrix-row-not-list": (["weight", "STABLE", "--direction", "DOC"], '{"a": [[[1, 0], [0, 0]], 1]}',
+                            "matrix rows must be non-empty lists"),
+    "matrix-row-empty": (["balance", "STABLE", "--target", "DOC"], '{"rho": [[]]}',
+                         "matrix rows must be non-empty lists"),
+    "matrix-ragged": (["balance", "STABLE", "--target", "DOC"], '{"rho": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}',
+                      "matrix rows have inconsistent lengths"),
+    "random-zero": (["weight", "STABLE", "--random", "0"], None, "--random needs a positive count"),
+    "measure-not-object": (["classify", "DOC"], "[]", "measure document must be a JSON object"),
+    "measure-atoms-empty": (["classify", "DOC"], '{"n": 1, "atoms": []}', '"atoms" must be a non-empty list'),
+    "measure-atom-no-z": (["classify", "DOC"], '{"n": 1, "atoms": [{"w": 1}]}',
+                          'each atom needs keys "z" and "w"'),
+    "measure-atom-no-w": (["classify", "DOC"], '{"n": 1, "atoms": [{"z": [[1, 0], [0, 0]]}]}',
+                          'each atom needs keys "z" and "w"'),
+    "sphere-atoms-empty": (["sphere", "DOC", "com"], '{"atoms": []}', '"atoms" must be a non-empty list'),
+    "sphere-atom-no-x": (["sphere", "DOC", "com"], '{"atoms": [{"w": 1}]}',
+                         'each sphere atom needs keys "x" and "w"'),
+    "sphere-atom-no-w": (["sphere", "DOC", "balance"], '{"atoms": [{"x": [0, 0, 1]}]}',
+                         'each sphere atom needs keys "x" and "w"'),
+    "torus-beta-nan": (["torus", "STABLE", "--beta=nan,0"], None, "beta components must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_each_input_check_exits_2_with_its_message(tmp_path, stable_file, case, capsys):
+    argv, document, message = MALFORMED_INPUTS[case]
+    doc = tmp_path / "doc.json"
+    if document is not None:
+        doc.write_text(document, encoding="utf-8")
+    argv = [{"STABLE": stable_file, "DOC": str(doc)}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message.replace('DOC', str(doc))}\n"
+
+
 # ---------------------------------------------------------------------------
 # weight
 

@@ -157,6 +157,8 @@ def test_sphere_measure_validates_input():
         sphere_measure([NORTH], [-1.0])
     with pytest.raises(InvalidInput):
         SphereMeasure(np.empty((0, 3)), [])
+    with pytest.raises(InvalidInput, match="sphere measure data must be finite"):
+        SphereMeasure(np.array([[0.0, np.nan, 1.0]]), [1.0])
 
 
 def test_sphere_json_round_trip_is_byte_idempotent():

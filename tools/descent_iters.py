@@ -7,6 +7,9 @@ Runs ``balance(nu, method=...)`` of each checkout on:
 - every ``balance`` op without ``--target`` of the ``balance-large``
   workload (seed 1) and of the ``solve-mix`` workload (seeds 1, 2 and 17),
   with the op's own method;
+- every ``balance --target`` op of those ``solve-mix`` runs, as
+  ``balance(nu, target_rho=rho)`` with rho read from the op's target file
+  (the group ``solve-mix/target``);
 - the planted-unstable sweep and the stable sweep of ``tests/helpers.py``
   (``PLANTED_SWEEP``, ``STABLE_SWEEP``), with both methods;
 - for i < ``SWEEP_END``, with n = 1 + i % 3 and m = 2 + (i // 3) % 6 and
@@ -45,6 +48,7 @@ METHODS = ("fixed-point", "geodesic-descent")
 # Run in a fresh interpreter: argv is (checkout, inputs file, out file).
 _WORKER = """
 import json, sys, time
+import numpy as np
 checkout, in_path, out_path = sys.argv[1:4]
 sys.path.insert(0, checkout + "/src")
 from measure_balancer import AtomicMeasure, balance
@@ -53,10 +57,15 @@ with open(in_path, encoding="utf-8") as fh:
 rows = []
 for case in cases:
     nu = AtomicMeasure.from_json(case["measure"])
+    if case["method"] == "target":
+        pairs = np.array(json.loads(case["target"])["rho"], dtype=float)
+        kwargs = {"target_rho": pairs.view(complex)[..., 0]}
+    else:
+        kwargs = {"method": case["method"]}
     best = float("inf")
     for _ in range(int(sys.argv[4])):
         t0 = time.perf_counter()
-        res = balance(nu, method=case["method"])
+        res = balance(nu, **kwargs)
         best = min(best, time.perf_counter() - t0)
     rows.append({"iterations": res.iterations, "verdict": res.verdict, "ms": round(1e3 * best, 3)})
 with open(out_path, "w", encoding="utf-8") as fh:
@@ -65,7 +74,8 @@ with open(out_path, "w", encoding="utf-8") as fh:
 
 
 def cases() -> list:
-    """(group, label, measure document, method) for every run, in a fixed order."""
+    """(group, label, measure document, method, target document or None) for
+    every run, in a fixed order; the method of a target solve is "target"."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(ROOT / "tests"))
@@ -76,10 +86,15 @@ def cases() -> list:
     for name, seed in RUNS:
         wl = inputs.make_workload(name, seed)
         for op in wl.ops:
-            if op.argv[0] == "balance" and "--target" not in op.argv:
+            if op.argv[0] != "balance":
+                continue
+            doc = wl.files[op.argv[1]].decode()
+            if "--target" in op.argv:
+                target = wl.files[op.argv[op.argv.index("--target") + 1]].decode()
+                found.append((name, f"{name}/{seed}/{op.op_id}", doc, "target", target))
+            else:
                 method = op.argv[op.argv.index("--method") + 1] if "--method" in op.argv else "fixed-point"
-                doc = wl.files[op.argv[1]].decode()
-                found.append((name, f"{name}/{seed}/{op.op_id}", doc, method))
+                found.append((name, f"{name}/{seed}/{op.op_id}", doc, method, None))
     sweeps = [
         ("planted", f"planted/n{n}/s{seed}", helpers.unstable_measure(helpers.rng(seed), n)[0])
         for n, seed in helpers.PLANTED_SWEEP
@@ -96,7 +111,7 @@ def cases() -> list:
             nu = helpers.gaussian_integer_measure(r, n, m)
             sweeps.append(("gaussian-integer", f"gaussian-integer/n{n}/m{m}/s{i}", nu))
     for method in METHODS:
-        found += [(group, label, nu.to_json(), method) for group, label, nu in sweeps]
+        found += [(group, label, nu.to_json(), method, None) for group, label, nu in sweeps]
     return found
 
 
@@ -135,15 +150,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         in_path = os.path.join(work, "cases.json")
         with open(in_path, "w", encoding="utf-8") as fh:
-            json.dump([{"measure": doc, "method": method} for *_, doc, method in found], fh)
+            docs = [{"measure": doc, "method": method, "target": target} for *_, doc, method, target in found]
+            json.dump(docs, fh)
         ours = run_checkout(ROOT, in_path, work)
         theirs = run_checkout(Path(args[0]).resolve(), in_path, work)
     inputs = [
         {"input": label, "method": method, "this": this, "other": other}
-        for (_, label, _, method), this, other in zip(found, ours, theirs)
+        for (_, label, _, method, _), this, other in zip(found, ours, theirs)
     ]
     groups = {}
-    for (group, *_, method), row in zip(found, inputs):
+    for (group, *_, method, _), row in zip(found, inputs):
         groups.setdefault(f"{group}/{method}", []).append(row)
     groups = {group: summary(rows) for group, rows in groups.items()}
     report = {"repeats": REPEATS, "runs": [list(r) for r in RUNS], "groups": groups, "inputs": inputs}
