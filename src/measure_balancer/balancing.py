@@ -25,8 +25,9 @@ no classifier.
 
 For an interior target state rho (positive definite, trace 1) the equation
 F(g.nu) = rho - Id/(n+1) is solved by Newton steps on the direction
-coefficients, using the Gram operator of the momentum derivative.  It needs
-a stable measure, where no span carries its share, so it stops only
+coefficients, using the Gram operator of the momentum derivative.  Descent
+and Newton take one geodesic step, capped in cond(g* g) by COND_LIMIT.  Newton
+needs a stable measure, where no span carries its share, so it stops only
 converged or at the cap.  Each solve only yields its iterates; one loop,
 ``_solve``, traces them, applies the solve's stop rule and builds the
 result from the last one.  The diagonal-torus version (targets on the
@@ -76,7 +77,6 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 DEFAULT_NEWTON_MAX_ITER = 200  # cap of the Newton solves (target, torus)
 COND_LIMIT = 1e12  # cond(S) beyond this stops a balance as degenerate
-GRAM_COND_LIMIT = 1e14  # cond(Gram) beyond this stops a target solve
 TORUS_LP_FLOOR = 1e-9  # interiority LP floor delta at or below this: not interior
 TORUS_HESSIAN_RIDGE = 1e-14  # ridge on the reduced torus Hessian, times max(1, max |entry|)
 MIN_STEP = 2.0**-40
@@ -283,9 +283,7 @@ def _step_scale(mom: np.ndarray, last) -> float:
 
     With dx = -t F_prev the last accepted step (t its step times its scale)
     and dy = F - F_prev, the ratio is <dx, dx> / <dx, dy>; it is 1 on the
-    first step and when <dx, dy> <= 0 or the ratio is not finite.  It is
-    capped so that a full step exp(-scale F) takes cond(g* g) up by at most
-    COND_LIMIT.
+    first step and when <dx, dy> <= 0 or the ratio is not finite.
     """
     scale = 1.0
     if last is not None:
@@ -296,39 +294,49 @@ def _step_scale(mom: np.ndarray, last) -> float:
             ratio = float(np.vdot(dx, dx).real) / curvature
             if np.isfinite(ratio):
                 scale = ratio
-    vals = np.linalg.eigvalsh(mom)
+    return scale
+
+
+def _geodesic_step(z, w, g, x, c, state, objective, beta=None):
+    """The step g <- exp(s c x) g of descent and Newton, s = 1, 1/2, ...
+
+    |c| is capped so that a full step takes cond(g* g) up by at most
+    COND_LIMIT.  A step must lower ``objective`` of the moved state
+    (``state`` is the one at g) at the rate |c| residual^2.  Returns the
+    accepted g, its moved state and s |c|, or None when no step is found.
+    """
+    vals = np.linalg.eigvalsh(x)
     spread = float(vals[-1] - vals[0])
     half_log_cond = 0.5 * np.log(COND_LIMIT)
-    if scale * spread > half_log_cond:
-        scale = half_log_cond / spread
-    return scale
+    if abs(c) * spread > half_log_cond:
+        c = np.copysign(half_log_cond / spread, c)
+
+    def trial(step):
+        try:
+            g_try = GroupElement(herm_exp(step * c * x) @ g).g
+            out = _moved_state(z, w, g_try, beta)
+        except (InvalidInput, NumericalDegeneracy):  # overflowed or singular
+            return None
+        return (g_try, out, step * abs(c)), objective(out), out[2]
+
+    residual = state[2]
+    return _line_search(trial, objective(state), residual, abs(c) * residual * residual)
 
 
 def _descent_iterates(z, w, g):
     """Geodesic descent from g: (S, residual, energy, None) of each iterate, S
     the determinant-1 multiple of g* g, until the line search finds no step."""
-    _, mom, residual, energy = _moved_state(z, w, g)
+    state = _moved_state(z, w, g)
     last = None  # (momentum, step * scale) of the last accepted step
     while True:
+        _, mom, residual, energy = state
         yield _det_normalize(g.conj().T @ g), residual, energy, None
-        scale = _step_scale(mom, last)
-
-        def trial(step):
-            # renormalized here, so the trial state is the next iterate's
-            try:
-                g_try = GroupElement(herm_exp(-step * scale * mom) @ g).g
-                out = _moved_state(z, w, g_try)
-            except (InvalidInput, NumericalDegeneracy):  # overflowed or singular
-                return None
-            return (g_try, out, step * scale), out[3], out[2]
-
         # -d/ds Psi along -scale F is scale * residual^2
-        found = _line_search(trial, energy, residual, scale * residual * residual)
+        found = _geodesic_step(z, w, g, mom, -_step_scale(mom, last), state, lambda st: st[3])
         if found is None:  # flat to machine precision; cannot make progress
             return
-        g, (_, mom_next, residual, energy), t = found
+        g, state, t = found
         last = (mom, t)
-        mom = mom_next
 
 
 _METHODS = {"fixed-point": _tyler_iterates, "geodesic-descent": _descent_iterates}
@@ -444,37 +452,27 @@ def _target_stop(z, w, s, residual, tol, it, max_iter):
 
 def _target_iterates(z, w, g, rho):
     """Newton on F(g.nu) = rho - Id/(n+1) from g: (None, residual, energy, g)
-    of each iterate (its stop reads no S), until the line search finds no step."""
+    of each iterate (its stop reads no S), until the line search finds no step;
+    SingularGram when the Gram solve fails."""
     k = z.shape[1]
     beta = rho - np.eye(k) / k
     basis = np.array(traceless_hermitian_basis(k))  # (k^2 - 1, k, k)
-    unit, mom, residual, energy = _moved_state(z, w, g, beta)
+    state = _moved_state(z, w, g, beta)
     while True:
+        unit, mom, residual, energy = state
         yield None, residual, energy, g
         gram = _gram_from_arrays(unit, w, basis)
         rhs = np.einsum("ab,jba->j", beta - mom, basis).real  # tr((beta - F) A_j)
         try:
-            cond = np.linalg.cond(gram)
-            if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
-                raise SingularGram(f"Gram operator condition number {cond:.3e} is too large")
             coeffs = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularGram("Gram operator solve failed") from exc
         direction = np.tensordot(coeffs, basis, axes=1)
-
-        def trial(step):
-            try:
-                g_try = GroupElement(herm_exp(step * direction) @ g).g
-                out = _moved_state(z, w, g_try, beta)
-            except (InvalidInput, NumericalDegeneracy):  # overflowed or singular
-                return None
-            return (g_try, out), out[2] ** 2, out[2]
-
         # Newton on the squared residual: its rate of decrease is residual^2
-        found = _line_search(trial, residual * residual, residual, residual * residual)
+        found = _geodesic_step(z, w, g, direction, 1.0, state, lambda st: st[2] * st[2], beta)
         if found is None:
             return
-        g, (unit, mom, residual, energy) = found
+        g, state, _ = found
 
 
 def solve_target(
@@ -490,8 +488,8 @@ def solve_target(
     coefficients use the Gram operator of the momentum derivative at the
     current configuration, with Armijo backtracking on the squared residual.
     No span of a stable measure carries its share, so the solve stops only
-    converged or at the cap (also when no step is found); cond(g* g) is not
-    limited, only the Gram operator's (SingularGram).
+    converged or at the cap (also when no step is found).  Each step takes
+    cond(g* g) up by at most COND_LIMIT; SingularGram when the Gram solve fails.
     """
     check_max_iter(max_iter)
     check_tol("tol", tol)

@@ -46,7 +46,7 @@ class NotPositiveTarget(BalancerError):
 
 
 class SingularGram(BalancerError):
-    """The Gram operator of the current configuration is numerically singular."""
+    """The Gram system of a Newton step of a target solve could not be solved."""
 
 
 class TargetOutsidePolytope(BalancerError):

@@ -17,6 +17,7 @@ from measure_balancer import (
     NotPositiveTarget,
     NotStable,
     ProjectivePoint,
+    SingularGram,
     SphereMeasure,
     TargetOutsidePolytope,
     VERDICT_CONVERGED,
@@ -440,16 +441,26 @@ def test_targets_down_to_the_eigenvalue_floor_converge(seed, eps):
     assert res.residual <= balancing.DEFAULT_TOL
 
 
+TWO_CONE_B = [0.1, 0.01, 0.001, 1e-4]
+TWO_CONE_EPS = [1e-2, 1e-4, 1e-6, 1e-8, balancing.TARGET_MIN_EIGENVALUE]
+
+
+def two_cone_measure(b):
+    """([1:b] + [1:-b] + [0:1])/3: stable, and diag(eps, 1 - eps) needs cond(g* g)
+    about 1 / (eps b^2), past COND_LIMIT for the smallest eps."""
+    return measure_on([[1.0, b], [1.0, -b], [0.0, 1.0]], [1 / 3] * 3)
+
+
 @pytest.mark.parametrize("b", [0.01, 0.001])
 def test_a_target_needing_cond_past_cond_limit_converges(b):
     # nu = ([1:b] + [1:-b] + [0:1])/3 is stable (no atom carries 1/2).  The
     # off-diagonal terms cancel, so rho = diag(eps, 1 - eps) is reached by
     # g = diag(s, 1/s) with (2/3) s^4 / b^2 = eps: cond(g* g) = 1/s^4 is
-    # far past COND_LIMIT, which bounds balancing but not a target solve.
-    # Newton from the identity overshoots onto [0:1] (SingularGram), so the
-    # solve starts at 3 s.
+    # far past COND_LIMIT, which stops balancing but not a target solve.
+    # Each Newton step takes cond(g* g) up by at most COND_LIMIT, so the
+    # solve passes it in several steps; here it starts at 3 s, past it.
     eps = balancing.TARGET_MIN_EIGENVALUE
-    nu = measure_on([[1.0, b], [1.0, -b], [0.0, 1.0]], [1 / 3] * 3)
+    nu = two_cone_measure(b)
     s = 3 * (1.5 * eps * b * b) ** 0.25
     rho = np.diag([eps, 1 - eps])
     res = solve_target(nu, rho, start=GroupElement(np.diag([s, 1 / s])))
@@ -458,6 +469,47 @@ def test_a_target_needing_cond_past_cond_limit_converges(b):
     assert np.linalg.cond(g.conj().T @ g) > 10 * balancing.COND_LIMIT
     moved = momentum(pushforward(res.g, nu)).m
     assert np.linalg.norm(moved - (rho - np.eye(2) / 2)) <= balancing.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("b", TWO_CONE_B)
+@pytest.mark.parametrize("eps", TWO_CONE_EPS)
+def test_newton_from_the_identity_reaches_targets_near_the_floor(b, eps):
+    # Uncapped, the first Newton step from the identity overflowed g and the
+    # solve raised SingularGram on every one of these.
+    nu = two_cone_measure(b)
+    rho = np.diag([eps, 1 - eps])
+    res = solve_target(nu, rho)
+    assert res.verdict == VERDICT_CONVERGED
+    moved = momentum(pushforward(res.g, nu)).m
+    assert np.linalg.norm(moved - (rho - np.eye(2) / 2)) <= balancing.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("b", TWO_CONE_B)
+@pytest.mark.parametrize("eps", TWO_CONE_EPS)
+def test_one_newton_step_takes_cond_up_by_at_most_cond_limit(b, eps):
+    res = solve_target(two_cone_measure(b), np.diag([eps, 1 - eps]), max_iter=1)
+    g = res.g.g
+    assert np.linalg.cond(g.conj().T @ g) <= balancing.COND_LIMIT * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_target_solve_from_an_ill_conditioned_start_does_not_raise(seed):
+    # cond(g* g) = 1e28 at the start: the Gram matrix is far past any
+    # condition limit, and the solve ends converged or at max-iterations.
+    start = GroupElement(np.diag([1e7, 1.0, 1e-7]))
+    res = solve_target(stable_measure(rng(seed), 2), np.eye(3) / 3, start=start)
+    assert res.verdict in (VERDICT_CONVERGED, VERDICT_MAX_ITERATIONS)
+    if res.verdict == VERDICT_CONVERGED:
+        assert res.residual <= balancing.DEFAULT_TOL
+
+
+def test_a_failed_gram_solve_raises_singular_gram(monkeypatch):
+    def failing_solve(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    with pytest.raises(SingularGram, match="^Gram operator solve failed$"):
+        solve_target(stable_measure(rng(0), 2), np.eye(3) / 3)
 
 
 def test_solve_target_requires_stability():

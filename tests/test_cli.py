@@ -448,6 +448,20 @@ def test_balance_with_target_state(tmp_path, stable_file, capsys):
     assert doc["residual"] <= 1e-10
 
 
+def test_balance_target_reports_a_failed_gram_solve(tmp_path, stable_file, capsys, monkeypatch):
+    def failing_solve(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    tpath = tmp_path / "target.json"
+    tpath.write_text(
+        json.dumps({"rho": [[[0.6, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.4, 0.0]]]}),
+        encoding="utf-8",
+    )
+    assert main(["balance", stable_file, "--target", str(tpath)]) == 2
+    assert "error: Gram operator solve failed" in capsys.readouterr().err
+
+
 def test_balance_target_on_unstable_is_input_error(
     tmp_path, unstable_file, capsys
 ):

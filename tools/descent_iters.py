@@ -48,10 +48,11 @@ METHODS = ("fixed-point", "geodesic-descent")
 # Run in a fresh interpreter: argv is (checkout, inputs file, out file).
 _WORKER = """
 import json, sys, time
-import numpy as np
 checkout, in_path, out_path = sys.argv[1:4]
 sys.path.insert(0, checkout + "/src")
+# The package caps BLAS threads only if it is imported before numpy.
 from measure_balancer import AtomicMeasure, balance
+import numpy as np
 with open(in_path, encoding="utf-8") as fh:
     cases = json.load(fh)
 rows = []
