@@ -15,24 +15,25 @@ scatter iteration, a majorize-minimize step for Psi: by the concavity of log
 it never raises the energy, so it is taken undamped.  A stable measure has a
 unique balanced S; an unstable or boundary-semistable one drives cond(S) to
 infinity, certified by the subspace its small eigenvectors collapse onto.
-Both methods share one stop rule on S: at iterations 1, 2, 4, 8, ... and at
-the cap they look for that subspace, and stop as soon as one carries
-strictly more than its share; past COND_LIMIT they stop, diverged on a
-subspace carrying at least its share, else ill-conditioned (the balanced S,
-if any, is beyond the limit).  Atoms are matched to eigenspaces of S
-loosely and the span they found is checked exactly, so the verdict needs
-no classifier.
+Both methods yield eigh(S) of each iterate, and one stop rule reads it: at
+iterations 1, 2, 4, 8, ... and at the cap it looks for that subspace, and
+stops as soon as one carries strictly more than its share; past COND_LIMIT
+it stops, diverged on a subspace carrying at least its share, else
+ill-conditioned (the balanced S, if any, is beyond the limit).  Atoms are
+matched to eigenspaces of S loosely and the span they found is checked
+exactly, so the verdict needs no classifier.
 
 For an interior target state rho (positive definite, trace 1) the equation
 F(g.nu) = rho - Id/(n+1) is solved by Newton steps on the direction
 coefficients, using the Gram operator of the momentum derivative.  Descent
-and Newton take one geodesic step, capped in cond(g* g) by COND_LIMIT.  Newton
-needs a stable measure, where no span carries its share, so it stops only
-converged or at the cap.  Each solve only yields its iterates; one loop,
-``_solve``, traces them, applies the solve's stop rule and builds the
-result from the last one.  The diagonal-torus version (targets on the
-momentum polytope of the coordinate torus) is a damped Newton solve of a
-convex log-sum-exp objective.
+and Newton take one geodesic step, capped in cond(g* g) by COND_LIMIT; when
+Newton's finds none, a steepest-descent step on the squared residual is
+tried.  Newton needs a stable measure, where no span carries its share, so
+it stops only converged or at the cap.  Each solve only yields its
+iterates; one loop, ``_solve``, traces them, applies the solve's stop rule
+and builds the result from the last one.  The diagonal-torus version
+(targets on the momentum polytope of the coordinate torus) is a damped
+Newton solve of a convex log-sum-exp objective.
 """
 
 from __future__ import annotations
@@ -121,11 +122,11 @@ class TorusSolveResult:
     converged: bool
 
 
-def _herm_sqrt(s: np.ndarray) -> np.ndarray:
-    """S^(1/2), its eigenvalues floored at eps * the largest: past cond(S) of
-    about 1/eps the smallest rounds to zero or below, and the root must stay
-    invertible."""
-    vals, vecs = np.linalg.eigh(s)
+def _herm_sqrt(eig) -> np.ndarray:
+    """S^(1/2) from ``eig = eigh(S)``, its eigenvalues floored at eps * the
+    largest: past cond(S) of about 1/eps the smallest rounds to zero or below,
+    and the root must stay invertible."""
+    vals, vecs = eig
     vals = np.maximum(vals, np.finfo(float).eps * vals[-1])
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
@@ -146,42 +147,35 @@ def _start_element(nu: AtomicMeasure, start) -> np.ndarray:
     return g0
 
 
-def _tyler_state(z: np.ndarray, w: np.ndarray, s: np.ndarray):
-    """The reweighted scatter R, residual and energy at S."""
+def _tyler_state(z: np.ndarray, w: np.ndarray, s: np.ndarray, eig):
+    """The reweighted scatter R, residual and energy at S, ``eig = eigh(S)``."""
     k = s.shape[0]
     q = np.einsum("mb,mb->m", z.conj() @ s, z).real
     if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
         return None, np.inf, np.inf
     r_mat = (z.T * (w / q)) @ z.conj()
-    s_half = _herm_sqrt(s)
+    s_half = _herm_sqrt(eig)
     mom = s_half @ r_mat @ s_half - np.eye(k) / k
     residual = float(np.linalg.norm(mom))
     energy = 0.5 * float(w @ np.log(q))
     return r_mat, residual, energy
 
 
-def _diverging(s: np.ndarray) -> bool:
-    """S lost definiteness or cond(S) passed COND_LIMIT: divergence."""
-    vals = np.linalg.eigvalsh(s)
-    return vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT
-
-
-def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
+def _eigenspace_scan(z: np.ndarray, w: np.ndarray, vecs: np.ndarray):
     """The atom span in the small-eigenvalue eigenspaces of S of largest excess.
 
     Found loosely, checked exactly: for each j the atoms within
-    EIGENSPACE_MEMBERSHIP_TOL of the span of the j smallest eigenvectors of
-    S are taken in order of their distance to it.  Each one not in the
-    span of those before it joins a basis, and each basis of at most n
-    atoms gives its ``atom_span``: the candidates of ``classify``, so its excess
-    nu(span) - rank/(n+1) proves instability however its atoms were found.
+    EIGENSPACE_MEMBERSHIP_TOL of the span of the first j columns of ``vecs``
+    of eigh(S) are taken in order of their distance to it.  Each one not in
+    the span of those before it joins a basis, and each basis of at most n
+    atoms gives its ``atom_span``: the candidates of ``classify``, so its
+    excess nu(span) - rank/(n+1) proves instability however its atoms were found.
     Trying every distance cut, not only the one at the tolerance, keeps an
     atom that is near the eigenspace but off a collapsing span from raising
     its rank.  Returns (subspace, excess) for the largest excess, or
     (None, -inf) when no eigenspace holds a proper atom span.
     """
     k = z.shape[1]
-    _, vecs = np.linalg.eigh(s)
     dist = nested_span_distances(vecs, z, tol=EIGENSPACE_MEMBERSHIP_TOL)
     near = dist <= EIGENSPACE_MEMBERSHIP_TOL
     best, best_excess, last = None, -np.inf, None
@@ -207,8 +201,8 @@ def _eigenspace_scan(z: np.ndarray, w: np.ndarray, s: np.ndarray):
     return best, best_excess
 
 
-def _stop_rule(z, w, s, residual, tol, it, max_iter):
-    """(verdict, certificate) of both balancers at the iterate S after ``it`` steps.
+def _stop_rule(z, w, eig, residual, tol, it, max_iter):
+    """(verdict, certificate) of both balancers at ``eig = eigh(S)`` after ``it`` steps.
 
     ``converged`` at residual <= tol.  Once S degenerates (a non-finite
     residual, or cond(S) past COND_LIMIT) ``diverged`` with the scanned span
@@ -222,24 +216,26 @@ def _stop_rule(z, w, s, residual, tol, it, max_iter):
     """
     if residual <= tol:
         return VERDICT_CONVERGED, None
-    if not np.isfinite(residual) or _diverging(s):
-        best, excess = _eigenspace_scan(z, w, s)
+    vals, vecs = eig
+    if not np.isfinite(residual) or vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT:
+        best, excess = _eigenspace_scan(z, w, vecs)
         if excess >= -DEFAULT_TOL_EQ:
             return VERDICT_DIVERGED, best
         return VERDICT_ILL_CONDITIONED, None
     if it > 0 and (it & (it - 1) == 0 or it == max_iter):
-        best, excess = _eigenspace_scan(z, w, s)
+        best, excess = _eigenspace_scan(z, w, vecs)
         if excess > DEFAULT_TOL_EQ:
             return VERDICT_DIVERGED, best
     return VERDICT_MAX_ITERATIONS, None
 
 
 def _tyler_iterates(z, w, g0):
-    """Tyler's fixed point from S = g0* g0: (S, residual, energy, None) of each iterate."""
+    """Tyler's fixed point from S = g0* g0: (eigh(S), residual, energy, None) per iterate."""
     s = _det_normalize(g0.conj().T @ g0)
     while True:
-        r_mat, residual, energy = _tyler_state(z, w, s)
-        yield s, residual, energy, None
+        eig = np.linalg.eigh(s)
+        r_mat, residual, energy = _tyler_state(z, w, s, eig)
+        yield eig, residual, energy, None
         s = _det_normalize(np.linalg.inv(r_mat))
         s = (s + s.conj().T) / 2.0
 
@@ -324,13 +320,13 @@ def _geodesic_step(z, w, g, x, c, state, objective, beta=None):
 
 
 def _descent_iterates(z, w, g):
-    """Geodesic descent from g: (S, residual, energy, None) of each iterate, S
-    the determinant-1 multiple of g* g, until the line search finds no step."""
+    """Geodesic descent from g: (eigh(S), residual, energy, None) per iterate,
+    S the determinant-1 multiple of g* g, until the line search finds no step."""
     state = _moved_state(z, w, g)
     last = None  # (momentum, step * scale) of the last accepted step
     while True:
         _, mom, residual, energy = state
-        yield _det_normalize(g.conj().T @ g), residual, energy, None
+        yield np.linalg.eigh(_det_normalize(g.conj().T @ g)), residual, energy, None
         # -d/ds Psi along -scale F is scale * residual^2
         found = _geodesic_step(z, w, g, mom, -_step_scale(mom, last), state, lambda st: st[3])
         if found is None:  # flat to machine precision; cannot make progress
@@ -343,17 +339,17 @@ _METHODS = {"fixed-point": _tyler_iterates, "geodesic-descent": _descent_iterate
 
 
 def _solve(z, w, iterates, tol: float, max_iter: int, stop=_stop_rule) -> BalanceResult:
-    """Trace each iterate (S, residual, energy, g), stop at the first final
-    verdict of ``stop(z, w, S, residual, tol, it, max_iter)`` or at the cap,
-    and report the last iterate's g, or S^(1/2) if g is None."""
+    """Trace each iterate (eigh(S), residual, energy, g), stop at the first
+    final verdict of ``stop(z, w, eigh(S), residual, tol, it, max_iter)`` or
+    at the cap, and report the last iterate's g, or S^(1/2) if g is None."""
     trace = []
-    for it, (s, residual, energy, g) in enumerate(iterates):
+    for it, (eig, residual, energy, g) in enumerate(iterates):
         trace.append((it, residual, energy))
-        verdict, certificate = stop(z, w, s, residual, tol, it, max_iter)
+        verdict, certificate = stop(z, w, eig, residual, tol, it, max_iter)
         if verdict != VERDICT_MAX_ITERATIONS or it == max_iter:
             break
     if g is None:  # the identity when the last state was not finite
-        g = _herm_sqrt(s) if np.isfinite(residual) else np.eye(len(s), dtype=complex)
+        g = _herm_sqrt(eig) if np.isfinite(residual) else np.eye(z.shape[1], dtype=complex)
     return BalanceResult(
         g=GroupElement(g),
         residual=residual,
@@ -445,19 +441,24 @@ def _validate_target(rho, k: int) -> np.ndarray:
     return rho
 
 
-def _target_stop(z, w, s, residual, tol, it, max_iter):
+def _target_stop(z, w, eig, residual, tol, it, max_iter):
     """(verdict, certificate) of a target solve: converged or max-iterations."""
     return (VERDICT_CONVERGED if residual <= tol else VERDICT_MAX_ITERATIONS), None
 
 
 def _target_iterates(z, w, g, rho):
     """Newton on F(g.nu) = rho - Id/(n+1) from g: (None, residual, energy, g)
-    of each iterate (its stop reads no S), until the line search finds no step;
-    SingularGram when the Gram solve fails."""
+    of each iterate (its stop reads no S), until neither the Newton step nor
+    the steepest step on the squared residual is found; SingularGram when the
+    Gram solve fails."""
     k = z.shape[1]
     beta = rho - np.eye(k) / k
     basis = np.array(traceless_hermitian_basis(k))  # (k^2 - 1, k, k)
     state = _moved_state(z, w, g, beta)
+
+    def squared(st):  # Newton's objective: its rate of decrease is residual^2
+        return st[2] * st[2]
+
     while True:
         unit, mom, residual, energy = state
         yield None, residual, energy, g
@@ -468,8 +469,13 @@ def _target_iterates(z, w, g, rho):
         except np.linalg.LinAlgError as exc:
             raise SingularGram("Gram operator solve failed") from exc
         direction = np.tensordot(coeffs, basis, axes=1)
-        # Newton on the squared residual: its rate of decrease is residual^2
-        found = _geodesic_step(z, w, g, direction, 1.0, state, lambda st: st[2] * st[2], beta)
+        found = _geodesic_step(z, w, g, direction, 1.0, state, squared, beta)
+        if found is None:  # steepest descent -G r (r = -rhs) at Newton's rate residual^2
+            steepest = gram @ rhs
+            norm2 = float(steepest @ steepest)
+            if norm2 > 0.0:
+                direction = np.tensordot(steepest * (residual * residual / norm2), basis, axes=1)
+                found = _geodesic_step(z, w, g, direction, 1.0, state, squared, beta)
         if found is None:
             return
         g, state, _ = found

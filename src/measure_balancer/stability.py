@@ -195,21 +195,15 @@ def classify(nu: AtomicMeasure, tol_eq: float = DEFAULT_TOL_EQ) -> StabilityVerd
             kind=StabilityKind.UNSTABLE, margin=margin, certificate=worst
         )
     splitting = _tight_flat_splitting(nu, cands, tol_eq)
-    if splitting is NotPolystable:
+    if splitting is None:
         kind = StabilityKind.SEMISTABLE_NOT_POLYSTABLE
-        decomposition = None
     else:
         kind = StabilityKind.POLYSTABLE_NOT_STABLE
-        decomposition = splitting
-    return StabilityVerdict(
-        kind=kind, margin=margin, certificate=worst, decomposition=decomposition
-    )
+    return StabilityVerdict(kind=kind, margin=margin, certificate=worst, decomposition=splitting)
 
 
-def _tight_flat_splitting(
-    nu: AtomicMeasure, cands: list, tol_eq: float
-) -> "PolystableSplitting | _NotPolystableType":
-    """The splitting of a boundary measure by its minimal tight flats.
+def _tight_flat_splitting(nu: AtomicMeasure, cands: list, tol_eq: float) -> "PolystableSplitting | None":
+    """The splitting of a boundary measure by its minimal tight flats, or None.
 
     See the module docstring: the measure is polystable iff the minimal
     tight flats partition the atoms and their spans are independent and fill
@@ -221,13 +215,13 @@ def _tight_flat_splitting(
     minimal = [c for c, s in zip(tight, atom_sets) if not any(t < s for t in atom_sets)]
     minimal.sort(key=lambda c: c.atom_indices[0])
     if sorted(i for c in minimal for i in c.atom_indices) != list(range(nu.atom_count)):
-        return NotPolystable
+        return None
     z = nu.coeff_matrix()
     w = nu.weights
     bases = [span_basis(z[list(c.atom_indices)]) for c in minimal]
     stacked = np.hstack(bases)
     if stacked.shape[1] != k or span_rank(stacked) < k:  # not independent
-        return NotPolystable
+        return None
     blocks = []
     for c, q in zip(minimal, bases):
         idx = list(c.atom_indices)

@@ -285,6 +285,51 @@ def test_descent_evaluates_each_accepted_iterate_once(case, monkeypatch):
     assert len(points) == calls["states"]
 
 
+def count_linalg(monkeypatch, *names):
+    """Calls of the np.linalg functions ``names``, counted from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["stable", "unstable"])
+@pytest.mark.parametrize("seed, n", [(0, 2), (1, 3), (2, 4)])
+def test_a_fixed_point_iterate_decomposes_s_once(kind, seed, n, monkeypatch):
+    # One eigh(S) per iterate serves the residual's S^(1/2), the cond(S)
+    # stop, the eigenspace scans and the reported S^(1/2).
+    nu = stable_measure(rng(seed), n) if kind == "stable" else unstable_measure(rng(seed), n)[0]
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    res = balance(nu)
+    assert res.verdict == (VERDICT_CONVERGED if kind == "stable" else VERDICT_DIVERGED)
+    assert res.iterations > 1
+    assert calls == {"eigh": res.iterations + 1, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("kind", ["stable", "unstable"])
+def test_a_descent_step_reads_one_eigvalsh_for_its_cap(kind, monkeypatch):
+    # The stop rule reads the iterate's eigh(S); the only eigvalsh is that
+    # of F in the COND_LIMIT cap of each step.
+    nu = stable_measure(rng(52), 2) if kind == "stable" else unstable_measure(rng(6), 2)[0]
+    steps = []
+    geodesic_step = balancing._geodesic_step
+
+    def counted_step(*args):
+        steps.append(1)
+        return geodesic_step(*args)
+
+    monkeypatch.setattr(balancing, "_geodesic_step", counted_step)
+    calls = count_linalg(monkeypatch, "eigvalsh")
+    res = balance(nu, method="geodesic-descent")
+    assert res.verdict == (VERDICT_CONVERGED if kind == "stable" else VERDICT_DIVERGED)
+    assert calls["eigvalsh"] == len(steps) == res.iterations > 0
+
+
 def test_balance_accepts_custom_start():
     r = rng(54)
     nu = stable_measure(r, 2)
@@ -501,6 +546,18 @@ def test_a_target_solve_from_an_ill_conditioned_start_does_not_raise(seed):
     assert res.verdict in (VERDICT_CONVERGED, VERDICT_MAX_ITERATIONS)
     if res.verdict == VERDICT_CONVERGED:
         assert res.residual <= balancing.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_target_solve_from_an_ill_conditioned_start_converges(seed):
+    # On 9 of these seeds the capped Newton step finds no step at some
+    # iterate (its direction's eigenvalue spread reaches about 1e26); the
+    # steepest step on the squared residual then moves the solve.
+    start = GroupElement(np.diag([1e7, 1.0, 1e-7]))
+    nu = stable_measure(rng(seed), 2)
+    res = solve_target(nu, np.eye(3) / 3, start=start)
+    assert res.verdict == VERDICT_CONVERGED
+    assert direct_momentum_residual(res.g, nu) <= 10 * balancing.DEFAULT_TOL
 
 
 def test_a_failed_gram_solve_raises_singular_gram(monkeypatch):

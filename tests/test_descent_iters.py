@@ -1,0 +1,109 @@
+"""The summary and exit code of tools/descent_iters.py on hand-made rows."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "descent_iters.py"
+_SPEC = importlib.util.spec_from_file_location("descent_iters", _PATH)
+descent_iters = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(descent_iters)
+
+
+def side(iterations, verdict="converged", ms=1.0):
+    return {"iterations": iterations, "verdict": verdict, "ms": ms}
+
+
+def row(this, other):
+    return {"input": "x", "method": "fixed-point", "this": this, "other": other}
+
+
+def test_the_summary_counts_changes_and_gives_each_side_its_sums_and_maxima():
+    rows = [
+        row(side(10, ms=1.5), side(10, ms=2.0)),
+        row(side(12, "diverged", 0.1), side(8, "diverged", 0.2)),
+        row(side(3, "ill-conditioned"), side(4, "diverged")),
+        row(side(0, ms=0.2), side(1, "max-iterations", 0.125)),
+    ]
+    assert descent_iters.summary(rows) == {
+        "inputs": 4,
+        "more_iterations": 1,  # only the second input needs more here
+        "verdicts_differ": 2,
+        "this_iterations": 25,
+        "this_max_iterations": 12,
+        "this_ms": 2.8,
+        "other_iterations": 23,
+        "other_max_iterations": 10,
+        "other_ms": 3.325,
+    }
+
+
+def test_equal_rows_change_nothing():
+    rows = [row(side(5), side(5)), row(side(7, "diverged"), side(7, "diverged"))]
+    out = descent_iters.summary(rows)
+    assert (out["more_iterations"], out["verdicts_differ"]) == (0, 0)
+    assert out["this_iterations"] == out["other_iterations"] == 12
+
+
+CASES = [
+    ("planted", "planted/n2/s0", "{}", "fixed-point", None),
+    ("planted", "planted/n2/s0", "{}", "geodesic-descent", None),
+    ("solve-mix", "solve-mix/1/4", "{}", "target", '{"rho": []}'),
+]
+
+
+def fake_run(monkeypatch, theirs):
+    """Run main on CASES with this checkout's rows all converged in 3
+    iterations and the other checkout's rows ``theirs``; no subprocess runs."""
+    seen = []
+
+    def run_checkout(checkout, in_path, work):
+        with open(in_path, encoding="utf-8") as fh:
+            seen.append((checkout, json.load(fh)))
+        return [side(3) for _ in CASES] if checkout == descent_iters.ROOT else theirs
+
+    monkeypatch.setattr(descent_iters, "cases", lambda: CASES)
+    monkeypatch.setattr(descent_iters, "run_checkout", run_checkout)
+    return seen
+
+
+@pytest.fixture
+def other(tmp_path):
+    (tmp_path / "src" / "measure_balancer").mkdir(parents=True)
+    return tmp_path
+
+
+def test_main_exits_0_when_no_verdict_differs(monkeypatch, capsys, other):
+    seen = fake_run(monkeypatch, [side(3), side(4), side(2)])
+    assert descent_iters.main([str(other)]) == 0
+    docs = [{"measure": "{}", "method": m, "target": t} for *_, m, t in CASES]
+    assert seen == [(descent_iters.ROOT, docs), (other.resolve(), docs)]
+    report = json.loads(capsys.readouterr().out)
+    assert list(report["groups"]) == ["planted/fixed-point", "planted/geodesic-descent", "solve-mix/target"]
+    assert report["groups"]["planted/geodesic-descent"]["other_iterations"] == 4
+    assert [r["input"] for r in report["inputs"]] == [label for _, label, *_ in CASES]
+
+
+def test_main_exits_1_when_a_groups_verdicts_differ(monkeypatch, capsys, other):
+    fake_run(monkeypatch, [side(3), side(3), side(200, "max-iterations")])
+    assert descent_iters.main([str(other)]) == 1
+    groups = json.loads(capsys.readouterr().out)["groups"]
+    assert {name: g["verdicts_differ"] for name, g in groups.items()} == {
+        "planted/fixed-point": 0,
+        "planted/geodesic-descent": 0,
+        "solve-mix/target": 1,
+    }
+
+
+@pytest.mark.parametrize("args", [[], ["a", "b"], ["no-checkout"]], ids=["none", "two", "not-a-checkout"])
+def test_main_exits_2_on_a_bad_argument(args, monkeypatch, capsys, tmp_path):
+    def no_cases():
+        raise AssertionError("no case may be built")
+
+    monkeypatch.setattr(descent_iters, "cases", no_cases)
+    args = [str(tmp_path / a) if a == "no-checkout" else a for a in args]
+    assert descent_iters.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: descent_iters.py OTHER_CHECKOUT")
