@@ -144,23 +144,25 @@ def _merge_atoms(z, weights):
     """Fold each atom into the earliest kept atom it overlaps.
 
     Overlap means |<z_i, z_j>| >= 1 - MERGE_TOL.  Only atoms whose keys
-    |<z, v>|, for one fixed generic unit v, lie within MERGE_WINDOW of each
-    other can overlap.  Kept atoms are taken in index order, and each claims
-    the later unclaimed atoms in its key window that pass the exact test.
-    Merged weights are summed in index order.
+    |<z, v>|, for each of two fixed generic unit v, lie within MERGE_WINDOW
+    of each other can overlap, so only atoms within reach of another atom on
+    the first key, and of another such atom on the second, are tested.  Kept
+    atoms are taken in index order, and each claims the later unclaimed atoms
+    in its first key's window that pass the exact test.  Merged weights are
+    summed in index order.
     """
     m, k = z.shape
     c = np.arange(k)
-    probe = np.sqrt(c + 1.0) * np.exp(2.4j * c)  # distinct moduli and phases
-    keys = np.abs(z @ (probe / np.linalg.norm(probe)))
-    order = np.argsort(keys)
-    ordered = keys[order]
-    lo = np.searchsorted(ordered, ordered - MERGE_WINDOW)
-    hi = np.searchsorted(ordered, ordered + MERGE_WINDOW, side="right")
+    probes = np.sqrt(c + 1.0) * np.exp(np.outer([2.4j, -1.1j], c))  # distinct moduli and phases
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    order, lo, hi = _key_windows(np.abs(z @ probes[0]))
     rank = np.empty(m, dtype=int)
     rank[order] = np.arange(m)
+    crowded = np.flatnonzero((hi - lo)[rank] > 1)  # another atom within reach on the first key
+    by_second, lo2, hi2 = _key_windows(np.abs(z[crowded] @ probes[1]))
+    crowded = crowded[np.sort(by_second[hi2 - lo2 > 1])]  # and on the second
     owner = np.arange(m)
-    for a in np.flatnonzero((hi - lo)[rank] > 1):  # another key within reach
+    for a in crowded:
         if owner[a] != a:  # claimed by an earlier kept atom
             continue
         near = order[lo[rank[a]] : hi[rank[a]]]
@@ -170,6 +172,14 @@ def _merge_atoms(z, weights):
     if keep.all():
         return z, weights
     return z[keep], np.bincount(owner, weights=weights, minlength=m)[keep]
+
+
+def _key_windows(key):
+    """The order of ``key`` and, for each position in it, the range of positions within MERGE_WINDOW."""
+    order = np.argsort(key)
+    ordered = key[order]
+    lo = np.searchsorted(ordered, ordered - MERGE_WINDOW)
+    return order, lo, np.searchsorted(ordered, ordered + MERGE_WINDOW, side="right")
 
 
 def pushforward(g: GroupElement, nu: AtomicMeasure) -> AtomicMeasure:

@@ -8,8 +8,10 @@ byte-for-byte idempotent once the data has been normalized.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -31,7 +33,7 @@ def check_tol(name: str, value: float) -> None:
 def fmt_float(x) -> str:
     """Format a real number with 17 significant digits (exact round-trip)."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise InvalidInput(f"non-finite number in output: {x!r}")
     if x == 0.0:  # normalize -0.0 so serialization is canonical
         x = 0.0
@@ -78,30 +80,28 @@ _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def parse_json(text: str):
-    """The one JSON parser of the package: a syntax error is an input error."""
+    """The one JSON parser of the package: a syntax error is an input error.
+
+    The cyclic GC is paused for the parse (and left as it was found): a parse
+    tree has no cycles, so a collection during it walks the tree and frees nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"invalid JSON: {exc}") from exc
-
-
-def _number_mask(cells: np.ndarray) -> np.ndarray:
-    """Where an object array holds a number: a JSON int or float, not a bool, finite as a float."""
-    flat = cells.reshape(-1)
-    kinds = np.fromiter(map(type, flat), dtype=object, count=flat.size)
-    mask = (kinds == int) | (kinds == float)
-    with np.errstate(invalid="ignore"):  # NaN compares false
-        mask[mask] = np.abs(flat[mask]) < _FLOAT_OVERFLOW
-    return mask.reshape(cells.shape)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _first_fault(obj, shape: tuple, index: tuple = ()):
     """Index and value of the first entry of nested lists that breaks ``shape`` or is no number."""
     if not shape:
-        cell = np.empty((), dtype=object)
-        cell[()] = obj
-        return None if _number_mask(cell) else (index, obj)
-    if not isinstance(obj, list) or len(obj) != shape[0]:
+        # a JSON int or float, not a bool, finite as a float
+        return None if type(obj) in (int, float) and abs(obj) < _FLOAT_OVERFLOW else (index, obj)
+    if type(obj) is not list or len(obj) != shape[0]:
         return index, obj
     for i, item in enumerate(obj):
         fault = _first_fault(item, shape[1:], index + (i,))
@@ -110,15 +110,31 @@ def _first_fault(obj, shape: tuple, index: tuple = ()):
     return None
 
 
+def _flat_numbers(obj: list, shape: tuple):
+    """The entries of nested lists of exactly ``shape`` as a flat float array, or None on any fault."""
+    level = [obj]
+    for size in shape:  # each level: lists only, all of length ``size``
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    try:
+        flat = np.array(level, dtype=float)
+    except OverflowError:  # an int at or beyond _FLOAT_OVERFLOW
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
 def read_numbers(obj: list, shape: tuple, name: str) -> np.ndarray:
     """``shape[0]`` nested JSON lists as a float array of exactly ``shape``, checked in bulk.
 
     With a trailing 2 (``[re, im]`` pairs), ``.view(complex)[..., 0]`` is the complex array.
     A fault in entry i is named ``name.format(i)`` followed by its inner indices.
     """
-    cells = np.array(obj, dtype=object)  # a ragged list leaves another shape
-    if cells.shape == shape and _number_mask(cells).all():
-        return cells.astype(float)
+    flat = _flat_numbers(obj, shape)
+    if flat is not None:
+        return flat.reshape(shape)
     index, value = _first_fault(obj, shape)
     where = name.format(index[0]) + "".join(f"[{i}]" for i in index[1:])
     expected = "a finite number" if len(index) == len(shape) else f"a list of {shape[len(index)]} numbers"

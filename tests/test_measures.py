@@ -253,6 +253,14 @@ def _merge_family(name, r):
             a, b, c = (np.cos(s) * v + np.sin(s) * u for s in (0.0, 1.2e-6, 2.4e-6))
             rows.extend([(a, b, c), (a, c, b), (b, a, c)][t % 3])
         return np.array(rows)
+    if name == "near-window-pairs":
+        # CP^1 partners at Fubini-Study distance 1.2e-6 to 1.7e-6 lie inside both key
+        # windows, on either side of the merge threshold (~1.414e-6); the dense cloud
+        # puts atoms within reach on one key only, and a tenth of the rows are exact repeats
+        base = canonical_rows(np.array([random_vector(r, 2) for _ in range(1500)]))
+        near = [_near(r, v, r.uniform(1.2e-6, 1.7e-6)) for v in base[:300]]
+        z = np.vstack([base, near, base[r.integers(0, 1500, 200)]])
+        return z[r.permutation(len(z))]
     # the benchmark cloud: n = 20, m = 2500, a tenth of the atoms exact repeats
     base = np.array([random_vector(r, 21) for _ in range(2250)])
     z = np.vstack([base, base[r.choice(2250, 250, replace=False)]])
@@ -267,6 +275,7 @@ def _merge_family(name, r):
         "cp1-equator",
         "near-duplicates-tiny-pivot",
         "chains",
+        "near-window-pairs",
         "cloud-n20-m2500",
     ],
 )

@@ -1,6 +1,7 @@
 """The JSON codec: bulk decoding of numbers and [re, im] pairs, and the pair encoder."""
 
 import cProfile
+import gc
 import json
 import pstats
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from measure_balancer import AtomicMeasure, InvalidInput, SphereMeasure
 from measure_balancer.cli import _basis_vectors
-from measure_balancer.util import canonical_json, read_numbers, to_pairs
+from measure_balancer.util import canonical_json, fmt_float, parse_json, read_numbers, to_pairs
 
 from helpers import (
     random_measure,
@@ -142,3 +143,86 @@ def test_from_json_makes_no_call_per_number():
     profile.runcall(AtomicMeasure.from_json, text)
     calls = max(ncalls for ncalls, *_ in pstats.Stats(profile).stats.values())
     assert calls < 3 * m < m * (n + 1)  # a few per atom (key and length checks), none per number
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+def test_fmt_float_refuses_a_non_finite_number(value):
+    with pytest.raises(InvalidInput, match=re.escape(f"non-finite number in output: {float(value)!r}")):
+        fmt_float(value)
+
+
+BULK_M, BULK_N = 3000, 30
+
+
+@pytest.fixture(scope="module")
+def bulk_text():
+    """An m = 3000, n = 30 measure document; its last atom holds numbers of every kind."""
+    r = rng(94)
+    pairs = r.normal(size=(BULK_M, BULK_N + 1, 2)).tolist()
+    pairs[-1] = [[random_number(r), random_number(r)] for _ in range(BULK_N + 1)]
+    pairs[-1][0] = [1, 0]  # keeps the row away from zero and overflow
+    return json.dumps({"n": BULK_N, "atoms": [{"z": z, "w": 1 / BULK_M} for z in pairs]})
+
+
+def test_bulk_read_of_a_large_document_is_bit_equal_to_the_per_pair_decoder(bulk_text):
+    atoms = json.loads(bulk_text)["atoms"]
+    zs = [a["z"] for a in atoms]
+    ours = read_numbers(zs, (BULK_M, BULK_N + 1, 2), "atoms[{}].z").view(complex)[..., 0]
+    assert ours.tobytes() == reference_pairs_to_matrix(zs).tobytes()
+    w = read_numbers([a["w"] for a in atoms], (BULK_M,), "atoms[{}].w")
+    assert w.tobytes() == np.full(BULK_M, 1 / BULK_M).tobytes()
+
+
+TOP = 2**1024 - 2**970  # the first integer float() rounds to infinity
+LAST = f"atoms[{BULK_M - 1}]"
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("pair", [1.5, 0, 2], f"{LAST}.z[{BULK_N}] must be a list of 2 numbers, got [1.5, 0, 2]"),
+        ("pair", {"re": 1}, f'{LAST}.z[{BULK_N}] must be a list of 2 numbers, got {{"re": 1}}'),
+        ("pair", [], f"{LAST}.z[{BULK_N}] must be a list of 2 numbers, got []"),
+        ("w", True, f"{LAST}.w must be a finite number, got true"),
+        ("re", TOP, f"{LAST}.z[{BULK_N}][0] must be a finite number, got {TOP}"),
+        ("re", float("nan"), f"{LAST}.z[{BULK_N}][0] must be a finite number, got NaN"),
+    ],
+    ids=["3-entry-pair", "dict-pair", "empty-pair", "true-weight", "overflowing-int", "nan"],
+)
+def test_a_fault_in_the_last_atom_of_a_large_document_is_named(bulk_text, where, value, message):
+    doc = json.loads(bulk_text)
+    last = doc["atoms"][-1]
+    if where == "w":
+        last["w"] = value
+    elif where == "pair":
+        last["z"][-1] = value
+    else:
+        last["z"][-1][0] = value
+    text = json.dumps(doc)  # NaN is written as the literal the parser accepts
+    with pytest.raises(InvalidInput) as info:
+        AtomicMeasure.from_json(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ['{"n": 1}', "not json {"], ids=["valid", "invalid"])
+def test_parse_json_pauses_the_cyclic_gc_and_leaves_it_as_it_found_it(enabled, text, monkeypatch):
+    seen = []
+    loads = json.loads
+
+    def recording_loads(s):
+        seen.append(gc.isenabled())
+        return loads(s)
+
+    monkeypatch.setattr(json, "loads", recording_loads)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        try:
+            parse_json(text)
+        except InvalidInput:
+            assert text.startswith("not json")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False]
