@@ -78,7 +78,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 DEFAULT_NEWTON_MAX_ITER = 200  # cap of the Newton solves (target, torus)
 COND_LIMIT = 1e12  # cond(S) beyond this stops a balance as degenerate
-TORUS_LP_FLOOR = 1e-9  # interiority LP floor delta at or below this: not interior
+TORUS_LP_FLOOR = 1e-9  # interiority floor delta (min p on full support) at or below this: not interior
 TORUS_HESSIAN_RIDGE = 1e-14  # ridge on the reduced torus Hessian, times max(1, max |entry|)
 MIN_STEP = 2.0**-40
 ARMIJO_C = 1e-4
@@ -513,9 +513,9 @@ def solve_target(
 
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first LP: only the torus
-    precheck and polytope_centroid_shift solve one, and the import costs
-    more than most CLI calls."""
+    """scipy.optimize.linprog, imported on the first LP: only torus targets
+    on a partial support and polytope_centroid_shift solve one, and the
+    import costs more than most CLI calls."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
@@ -559,20 +559,26 @@ def _check_torus_target(w, support, p_target):
     """Strict-interior membership of the target in the reachable polytope.
 
     The reachable set is the Minkowski combination sum_i w_i Delta(S_i) of
-    simplices on each atom's coordinate support; strict interiority is
-    certified by an LP maximizing the floor delta of all support
-    coordinates q_ij >= delta.
+    simplices on each atom's coordinate support; strict interiority is the
+    largest floor delta of all support coordinates q_ij >= delta exceeding
+    TORUS_LP_FLOOR.  On full support the sum is the whole simplex and delta
+    is min p exactly (q_ij = p_j attains it, and the w-average of q_.j is
+    p_j); otherwise an LP finds it.
     """
     unreachable = ~support.any(axis=0) & (np.abs(p_target) > TORUS_UNREACHABLE_TOL)
     if unreachable.any():
         raise TargetOutsidePolytope(
             f"coordinate {int(np.argmax(unreachable))} is unreachable (no atom touches it)"
         )
-    c, a_ub, b_ub, a_eq, b_eq, bounds = _torus_lp(w, support, p_target)
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
-    )
-    if not res.success or -res.fun <= TORUS_LP_FLOOR:
+    if support.all():
+        floor = float(p_target.min())
+    else:
+        c, a_ub, b_ub, a_eq, b_eq, bounds = _torus_lp(w, support, p_target)
+        res = linprog(
+            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
+        )
+        floor = -res.fun if res.success else -np.inf
+    if floor <= TORUS_LP_FLOOR:
         raise TargetOutsidePolytope(
             "target is outside (or on the boundary of) the reachable polytope"
         )
@@ -589,8 +595,9 @@ def torus_solve(
     Minimizes f(theta) - <beta + 1/(n+1), theta> where
     f(theta) = sum_i w_i (1/2) log(sum_j e^(2 theta_j) |z_ij|^2) by damped
     Newton on the sum-zero subspace.  The target must lie strictly inside
-    the reachable polytope (LP-checked); MaxIterations is raised when the
-    cap is hit, as happens for targets approaching the boundary.
+    the reachable polytope: min p above TORUS_LP_FLOOR on full support, an
+    LP on a partial one.  MaxIterations is raised when the cap is hit, as
+    happens for targets approaching the boundary.
     """
     check_max_iter(max_iter)
     check_tol("tol", tol)

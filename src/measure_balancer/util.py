@@ -82,14 +82,15 @@ _FLOAT_OVERFLOW = 2**1024 - 2**970
 def parse_json(text: str):
     """The one JSON parser of the package: a syntax error is an input error.
 
-    The cyclic GC is paused for the parse (and left as it was found): a parse
-    tree has no cycles, so a collection during it walks the tree and frees nothing.
+    So is nesting too deep for the parser's recursion.  The cyclic GC is
+    paused for the parse (and left as it was found): a parse tree has no
+    cycles, so a collection during it walks the tree and frees nothing.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"invalid JSON: {exc}") from exc
     finally:
         if enabled:
@@ -131,11 +132,20 @@ def read_numbers(obj: list, shape: tuple, name: str) -> np.ndarray:
 
     With a trailing 2 (``[re, im]`` pairs), ``.view(complex)[..., 0]`` is the complex array.
     A fault in entry i is named ``name.format(i)`` followed by its inner indices.
+    The first faulty entry is found by halving with the bulk check, and only
+    that entry is walked, so a faulty document costs about two bulk reads.
     """
     flat = _flat_numbers(obj, shape)
     if flat is not None:
         return flat.reshape(shape)
-    index, value = _first_fault(obj, shape)
+    lo, hi = 0, len(obj)  # entries before lo pass the bulk check; obj[lo:hi] holds a fault
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _flat_numbers(obj[lo:mid], (mid - lo,) + shape[1:]) is None:
+            hi = mid
+        else:
+            lo = mid
+    index, value = _first_fault(obj[lo], shape[1:], (lo,))
     where = name.format(index[0]) + "".join(f"[{i}]" for i in index[1:])
     expected = "a finite number" if len(index) == len(shape) else f"a list of {shape[len(index)]} numbers"
     raise InvalidInput(f"{where} must be {expected}, got {json.dumps(value)}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from measure_balancer import (
     AtomicMeasure,
@@ -690,6 +691,66 @@ def test_torus_lp_matches_the_loop_builder():
             assert a.shape == b.shape and np.array_equal(a, b)
         assert got[5] == want[5]
     assert uncovered_seen >= 20
+
+
+def test_a_full_support_target_is_interior_exactly_when_min_p_clears_the_floor():
+    r = rng(61)
+    compared = 0
+    for trial in range(80):
+        m, k = int(r.integers(1, 7)), int(r.integers(2, 6))
+        w = r.random(m) + 0.1
+        w /= w.sum()
+        support = np.ones((m, k), dtype=bool)
+        low = r.choice([-1e-12, 0.0, 1e-10, 1e-9, 1.001e-9, 1e-8, 10.0 ** r.uniform(-9, -2)])
+        rest = r.random(k - 1) + 0.01
+        p_target = np.concatenate([[low], (1.0 - low) * rest / rest.sum()])
+        try:
+            balancing._check_torus_target(w, support, p_target)
+            interior = True
+        except TargetOutsidePolytope:
+            interior = False
+        assert interior == (p_target.min() > balancing.TORUS_LP_FLOOR)
+        c, a_ub, b_ub, a_eq, b_eq, bounds = reference_torus_lp(w, support, p_target)
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+        if res.success:
+            compared += 1
+            assert abs(-res.fun - p_target.min()) <= 1e-7
+    assert compared >= 40
+
+
+@pytest.mark.parametrize(
+    "low, interior",
+    [(-1e-12, False), (0.0, False), (1e-10, False), (1e-9, False), (1.001e-9, True), (1e-6, True)],
+)
+def test_a_full_support_target_with_min_p_at_the_floor_is_outside(low, interior):
+    w = np.array([0.5, 0.3, 0.2])
+    support = np.ones((3, 3), dtype=bool)
+    p_target = np.array([low, 0.5, 0.5 - low])
+    if interior:
+        balancing._check_torus_target(w, support, p_target)
+    else:
+        with pytest.raises(TargetOutsidePolytope, match="outside \\(or on the boundary of\\)"):
+            balancing._check_torus_target(w, support, p_target)
+
+
+def test_only_a_partial_support_target_solves_an_lp(monkeypatch):
+    calls = []
+
+    class LinprogCalled(Exception):
+        pass
+
+    def no_linprog(*args, **kwargs):
+        calls.append(args)
+        raise LinprogCalled
+
+    monkeypatch.setattr(balancing, "linprog", no_linprog)
+    full = measure_on([[1.0, 1.0], [1.0, -1.0], [1.0, 2.0]], [1 / 3] * 3)
+    assert torus_solve(full, np.array([0.1, -0.1])).converged
+    assert calls == []
+    partial = measure_on([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1 / 3] * 3)
+    with pytest.raises(LinprogCalled):
+        torus_solve(partial, np.array([0.1, -0.1]))
+    assert len(calls) == 1
 
 
 def test_torus_solve_is_deterministic():

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
 import csv
+import gc
 import importlib
 import json
 import os
@@ -240,6 +241,45 @@ def test_each_input_check_exits_2_with_its_message(tmp_path, stable_file, case, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message.replace('DOC', str(doc))}\n"
+
+
+# argv of each reader of an input document, DOC the document it reads
+DOCUMENT_READERS = {
+    "measure": ["classify", "DOC"],
+    "sphere": ["sphere", "DOC", "com"],
+    "target": ["balance", "STABLE", "--target", "DOC"],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(DOCUMENT_READERS))
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, stable_file, reader, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b'{"n": 1}\xff')
+    argv = [{"STABLE": stable_file, "DOC": str(doc)}.get(a, a) for a in DOCUMENT_READERS[reader]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {doc}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("reader", sorted(DOCUMENT_READERS))
+def test_deeply_nested_json_exits_2_and_leaves_the_gc_as_it_was(
+    tmp_path, stable_file, reader, enabled, capsys
+):
+    doc = tmp_path / "doc.json"
+    doc.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    argv = [{"STABLE": stable_file, "DOC": str(doc)}.get(a, a) for a in DOCUMENT_READERS[reader]]
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert main(argv) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +721,7 @@ def test_classify_output_is_byte_identical_across_runs(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process, scipy.optimize on the first LP
+# one parser per process, scipy.optimize on the first LP (full support solves none)
 
 
 def test_calls_on_the_one_parser_do_not_leak_into_each_other(tmp_path, stable_file, capsys):
@@ -738,6 +778,27 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded(tmp_path):
     assert lines[0] == "False"
     assert lines[-1] == "True 0"
     assert json_tail("\n".join(lines[1:-1]))["converged"] is True
+
+
+def test_a_torus_solve_on_full_support_leaves_scipy_optimize_unloaded(tmp_path):
+    path = write_measure(tmp_path, "full.json", [[1.0, 1.0], [1.0, -1.0], [1.0, 2.0]], [0.34, 0.33, 0.33])
+    package_root = Path(measure_balancer.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import measure_balancer.cli\n"
+        "code = measure_balancer.cli.main(['torus', sys.argv[2], '--beta', '0.1,-0.1'])\n"
+        "print('scipy.optimize' in sys.modules, code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(package_root), path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "False 0"
+    assert json_tail("\n".join(lines[:-1]))["converged"] is True
 
 
 def project_scripts() -> dict:

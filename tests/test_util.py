@@ -204,6 +204,26 @@ def test_a_fault_in_the_last_atom_of_a_large_document_is_named(bulk_text, where,
     assert str(info.value) == message
 
 
+def test_the_first_fault_in_document_order_is_named(bulk_text):
+    doc = json.loads(bulk_text)
+    doc["atoms"][5]["z"][2][1] = float("nan")
+    doc["atoms"][-1]["z"][-1] = [1.5, 0, 2]
+    with pytest.raises(InvalidInput, match=re.escape("atoms[5].z[2][1] must be a finite number, got NaN")):
+        AtomicMeasure.from_json(json.dumps(doc))
+
+
+def test_a_fault_in_the_last_atom_walks_that_atom_alone(bulk_text):
+    doc = json.loads(bulk_text)
+    doc["atoms"][-1]["z"][-1] = []
+    text = json.dumps(doc)
+    profile = cProfile.Profile()
+    with pytest.raises(InvalidInput):
+        profile.runcall(AtomicMeasure.from_json, text)
+    stats = pstats.Stats(profile).stats.items()
+    walks = [nc for (_, _, func), (_, nc, *_) in stats if func == "_first_fault"]
+    assert walks and walks[0] < 1000  # the walk of one atom: 1 + (n + 1) + 2 (n + 1) at most
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("text", ['{"n": 1}', "not json {"], ids=["valid", "invalid"])
 def test_parse_json_pauses_the_cyclic_gc_and_leaves_it_as_it_found_it(enabled, text, monkeypatch):
