@@ -1,32 +1,31 @@
 """Solvers that move a measure to a prescribed momentum value.
 
-Balancing solves F(g.nu) = 0 over g in SL(n+1, C).  Writing g = S^(1/2) for
-a positive definite Hermitian S of determinant 1, the zero-momentum equation
-becomes the fixed-point condition
-
-    S = det(R(S))^(1/(n+1)) * R(S)^(-1),
-    R(S) = sum_i w_i z_i z_i* / (z_i* S z_i),
-
-iterated directly (the default), or the Kempf-Ness energy
-Psi(nu, g) = sum w_i log||g z_i|| is minimized by geodesic steepest descent
-g <- exp(-s c F(g.nu)) g with Armijo backtracking on s, the scale c the
-Barzilai-Borwein ratio of the last step.  The fixed-point step is Tyler's
-scatter iteration, a majorize-minimize step for Psi: by the concavity of log
-it never raises the energy, so it is taken undamped.  A stable measure has a
-unique balanced S; an unstable or boundary-semistable one drives cond(S) to
-infinity, certified by the subspace its small eigenvectors collapse onto.
-Both methods yield eigh(S) of each iterate, and one stop rule reads it: at
-iterations 1, 2, 4, 8, ... and at the cap it looks for that subspace, and
-stops as soon as one carries strictly more than its share; past COND_LIMIT
-it stops, diverged on a subspace carrying at least its share, else
-ill-conditioned (the balanced S, if any, is beyond the limit).  Atoms are
-matched to eigenspaces of S loosely and the span they found is checked
-exactly, so the verdict needs no classifier.
+Balancing solves F(g.nu) = 0 over g in SL(n+1, C), iterating g itself on
+its moved state: the unit rows u_i of g z_i and the moved scatter
+R = sum_i w_i u_i u_i*, so that F = R - Id/(n+1).  The fixed point (the
+default) steps g <- (k R)^(-1/2) g, k = n + 1, at determinant 1: Tyler's
+scatter iteration S <- R(S)^(-1) on S = g* g, written on g, where R tends
+to Id/k and stays well conditioned although cond(S) = cond(g)^2.  It is a
+majorize-minimize step for the Kempf-Ness energy Psi(nu, g) =
+sum w_i log||g z_i||: log is concave, so it never raises the energy and is
+taken undamped.  Geodesic descent steps g <- exp(-s c F(g.nu)) g with
+Armijo backtracking on s, the scale c the Barzilai-Borwein ratio of the
+last step.  A stable measure has a balanced g, unique up to unitaries; an
+unstable or boundary-semistable one drives cond(g) to infinity, certified
+by the subspace onto which the small right singular vectors of g collapse.
+One stop rule reads the singular values of each iterate: at iterations 1,
+2, 4, 8, ... and at the cap it looks for that subspace, and stops as soon
+as one carries strictly more than its share; past COND_LIMIT, or when no
+step is found, it stops diverged on a subspace carrying at least its
+share, else ill-conditioned (the balanced g, if any, is beyond the limit)
+or max-iterations.  Atoms are matched to those subspaces loosely and the
+span they found is checked exactly, so the verdict needs no classifier.  A
+balance reports the Hermitian positive polar factor of its last g.
 
 For an interior target state rho (positive definite, trace 1) the equation
 F(g.nu) = rho - Id/(n+1) is solved by Newton steps on the direction
 coefficients, using the Gram operator of the momentum derivative.  Descent
-and Newton take one geodesic step, capped in cond(g* g) by COND_LIMIT; when
+and Newton take one geodesic step, capped in cond(g) by COND_LIMIT^(1/2); when
 Newton's finds none, a steepest-descent step on the squared residual is
 tried.  Newton needs a stable measure, where no span carries its share, so
 it stops only converged or at the cap.  Each solve only yields its
@@ -72,12 +71,12 @@ from .util import check_max_iter, check_tol
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
 VERDICT_MAX_ITERATIONS = "max-iterations"
-VERDICT_ILL_CONDITIONED = "ill-conditioned"  # needs cond(S) beyond COND_LIMIT
+VERDICT_ILL_CONDITIONED = "ill-conditioned"  # needs cond(g) beyond COND_LIMIT
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 2000
 DEFAULT_NEWTON_MAX_ITER = 200  # cap of the Newton solves (target, torus)
-COND_LIMIT = 1e12  # cond(S) beyond this stops a balance as degenerate
+COND_LIMIT = 1e12  # cond(g) beyond this stops a balance as degenerate
 TORUS_LP_FLOOR = 1e-9  # interiority floor delta (min p on full support) at or below this: not interior
 TORUS_HESSIAN_RIDGE = 1e-14  # ridge on the reduced torus Hessian, times max(1, max |entry|)
 MIN_STEP = 2.0**-40
@@ -99,11 +98,10 @@ class BalanceResult:
     ``trace`` holds one (iteration, residual, kempf_ness value) triple per
     iteration, including the starting state; ``residual`` and
     ``iterations`` are those of its last entry.  For the zero-momentum
-    solvers ``g`` is S^(1/2), the Hermitian positive square root of the last
-    iterate S (the identity when that state was not finite); for nonzero
-    targets it is the composed group element (a polar representative would
-    conjugate the momentum away from the target), and a target solve ends
-    only converged or max-iterations.
+    solvers ``g`` is the Hermitian positive polar factor of the last
+    iterate; for nonzero targets it is the composed group element (a polar
+    representative would conjugate the momentum away from the target), and
+    a target solve ends only converged or max-iterations.
     """
 
     g: GroupElement
@@ -122,20 +120,6 @@ class TorusSolveResult:
     converged: bool
 
 
-def _herm_sqrt(eig) -> np.ndarray:
-    """S^(1/2) from ``eig = eigh(S)``, its eigenvalues floored at eps * the
-    largest: past cond(S) of about 1/eps the smallest rounds to zero or below,
-    and the root must stay invertible."""
-    vals, vecs = eig
-    vals = np.maximum(vals, np.finfo(float).eps * vals[-1])
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def _det_normalize(s: np.ndarray) -> np.ndarray:
-    sign, logdet = np.linalg.slogdet(s)
-    return s * np.exp(-logdet / s.shape[0])
-
-
 def _start_element(nu: AtomicMeasure, start) -> np.ndarray:
     """The start iterate as a matrix: the identity, or start checked in size."""
     k = nu.dim + 1
@@ -147,26 +131,14 @@ def _start_element(nu: AtomicMeasure, start) -> np.ndarray:
     return g0
 
 
-def _tyler_state(z: np.ndarray, w: np.ndarray, s: np.ndarray, eig):
-    """The reweighted scatter R, residual and energy at S, ``eig = eigh(S)``."""
-    k = s.shape[0]
-    q = np.einsum("mb,mb->m", z.conj() @ s, z).real
-    if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
-        return None, np.inf, np.inf
-    r_mat = (z.T * (w / q)) @ z.conj()
-    s_half = _herm_sqrt(eig)
-    mom = s_half @ r_mat @ s_half - np.eye(k) / k
-    residual = float(np.linalg.norm(mom))
-    energy = 0.5 * float(w @ np.log(q))
-    return r_mat, residual, energy
-
-
 def _eigenspace_scan(z: np.ndarray, w: np.ndarray, vecs: np.ndarray):
-    """The atom span in the small-eigenvalue eigenspaces of S of largest excess.
+    """The atom span in the small-eigenvalue eigenspaces of S = g* g of largest excess.
 
-    Found loosely, checked exactly: for each j the atoms within
-    EIGENSPACE_MEMBERSHIP_TOL of the span of the first j columns of ``vecs``
-    of eigh(S) are taken in order of their distance to it.  Each one not in
+    Found loosely, checked exactly: ``vecs`` holds the eigenvectors of S in
+    ascending eigenvalue order (the right singular vectors of g, smallest
+    singular value first), and for each j the atoms within
+    EIGENSPACE_MEMBERSHIP_TOL of the span of its first j columns are taken
+    in order of their distance to it.  Each one not in
     the span of those before it joins a basis, and each basis of at most n
     atoms gives its ``atom_span``: the candidates of ``classify``, so its
     excess nu(span) - rank/(n+1) proves instability however its atoms were found.
@@ -201,43 +173,52 @@ def _eigenspace_scan(z: np.ndarray, w: np.ndarray, vecs: np.ndarray):
     return best, best_excess
 
 
-def _stop_rule(z, w, eig, residual, tol, it, max_iter):
-    """(verdict, certificate) of both balancers at ``eig = eigh(S)`` after ``it`` steps.
+def _stop_rule(z, w, g, residual, tol, it, max_iter, stalled=False):
+    """(verdict, certificate) of both balancers at the iterate g after ``it`` steps.
 
-    ``converged`` at residual <= tol.  Once S degenerates (a non-finite
-    residual, or cond(S) past COND_LIMIT) ``diverged`` with the scanned span
-    of largest excess when it carries at least its share, else
-    ``ill-conditioned``: S degenerated only because balancing needs cond(S)
-    beyond COND_LIMIT.  At iterations 1, 2, 4, ... and at the cap,
-    ``diverged`` on a scanned span of excess above DEFAULT_TOL_EQ (within it
-    the span is tight, which polystable input has): S collapses onto an
-    over-massive span long before cond(S) reaches COND_LIMIT.  Otherwise
-    ``max-iterations``, which ends a run only at the cap.
+    ``converged`` at residual <= tol.  Once g degenerates (a non-finite
+    residual, or cond(g) past COND_LIMIT) or the run ``stalled`` (no step
+    from g), ``diverged`` with the scanned span of largest excess when it
+    carries at least its share, else ``ill-conditioned`` (balancing needs
+    cond(g) beyond COND_LIMIT) or, stalled, ``max-iterations``.  At
+    iterations 1, 2, 4, ... and at the cap, ``diverged`` on a scanned span of
+    excess above DEFAULT_TOL_EQ (within it the span is tight, which
+    polystable input has).  Otherwise ``max-iterations``.  A plain iterate
+    takes the singular values of g, a scan the full SVD g = U diag(s) V*,
+    whose columns of V are the eigenvectors of S = g* g.
     """
     if residual <= tol:
         return VERDICT_CONVERGED, None
-    vals, vecs = eig
-    if not np.isfinite(residual) or vals[0] <= 0.0 or vals[-1] / vals[0] > COND_LIMIT:
-        best, excess = _eigenspace_scan(z, w, vecs)
+    if not (stalled or it > 0 and (it & (it - 1) == 0 or it == max_iter)):
+        s = np.linalg.svd(g, compute_uv=False)
+        if np.isfinite(residual) and s[0] <= COND_LIMIT * s[-1]:
+            return VERDICT_MAX_ITERATIONS, None
+    _, s, vh = np.linalg.svd(g)
+    best, excess = _eigenspace_scan(z, w, vh[::-1].conj().T)
+    degenerate = not np.isfinite(residual) or s[0] > COND_LIMIT * s[-1]
+    if degenerate or stalled:
         if excess >= -DEFAULT_TOL_EQ:
             return VERDICT_DIVERGED, best
-        return VERDICT_ILL_CONDITIONED, None
-    if it > 0 and (it & (it - 1) == 0 or it == max_iter):
-        best, excess = _eigenspace_scan(z, w, vecs)
-        if excess > DEFAULT_TOL_EQ:
-            return VERDICT_DIVERGED, best
+        return (VERDICT_ILL_CONDITIONED if degenerate else VERDICT_MAX_ITERATIONS), None
+    if excess > DEFAULT_TOL_EQ:
+        return VERDICT_DIVERGED, best
     return VERDICT_MAX_ITERATIONS, None
 
 
-def _tyler_iterates(z, w, g0):
-    """Tyler's fixed point from S = g0* g0: (eigh(S), residual, energy, None) per iterate."""
-    s = _det_normalize(g0.conj().T @ g0)
+def _tyler_iterates(z, w, g):
+    """Tyler's fixed point g <- (k R)^(-1/2) g at determinant 1: (g, residual,
+    energy) per iterate, until R is not positive definite.  R is read as summed:
+    F + Id/k would round away its smallest eigenvalue (1e-18 at 1e-9 off a plane)."""
+    state = _moved_state(z, w, g)
     while True:
-        eig = np.linalg.eigh(s)
-        r_mat, residual, energy = _tyler_state(z, w, s, eig)
-        yield eig, residual, energy, None
-        s = _det_normalize(np.linalg.inv(r_mat))
-        s = (s + s.conj().T) / 2.0
+        _, _, scatter, _, residual, energy = state
+        yield g, residual, energy
+        vals, vecs = np.linalg.eigh(scatter)
+        if not vals[0] > 0.0:
+            return
+        root = np.sqrt(vals / np.exp(np.log(vals).mean()))
+        g = (vecs / root) @ (vecs.conj().T @ g)
+        state = _moved_state(z, w, g)
 
 
 def _line_search(trial, objective: float, residual: float, slope: float):
@@ -265,13 +246,15 @@ def _line_search(trial, objective: float, residual: float, slope: float):
 
 
 def _moved_state(z, w, g, beta=None):
-    """Unit moved rows, momentum, residual ||F(g.nu) - beta|| and energy at g."""
+    """The state at g: rows g z_i, their squared norms, the moved scatter R,
+    the momentum F = R - Id/(n+1), the residual ||F - beta|| and the energy."""
     k = z.shape[1]
-    _, norms, unit = move_rows(g, z)
-    mom = (unit.T * w) @ unit.conj() - np.eye(k) / k
+    moved, sq = move_rows(g, z)
+    scatter = moved.T @ (moved.conj() * (w / sq)[:, None])
+    mom = scatter - np.eye(k) / k
     residual = float(np.linalg.norm(mom if beta is None else mom - beta))
-    energy = float(w @ np.log(norms))
-    return unit, mom, residual, energy
+    energy = 0.5 * float(w @ np.log(sq))
+    return moved, sq, scatter, mom, residual, energy
 
 
 def _step_scale(mom: np.ndarray, last) -> float:
@@ -296,8 +279,8 @@ def _step_scale(mom: np.ndarray, last) -> float:
 def _geodesic_step(z, w, g, x, c, state, objective, beta=None):
     """The step g <- exp(s c x) g of descent and Newton, s = 1, 1/2, ...
 
-    |c| is capped so that a full step takes cond(g* g) up by at most
-    COND_LIMIT.  A step must lower ``objective`` of the moved state
+    |c| is capped so that a full step takes cond(g) up by at most
+    COND_LIMIT^(1/2).  A step must lower ``objective`` of the moved state
     (``state`` is the one at g) at the rate |c| residual^2.  Returns the
     accepted g, its moved state and s |c|, or None when no step is found.
     """
@@ -313,22 +296,22 @@ def _geodesic_step(z, w, g, x, c, state, objective, beta=None):
             out = _moved_state(z, w, g_try, beta)
         except (InvalidInput, NumericalDegeneracy):  # overflowed or singular
             return None
-        return (g_try, out, step * abs(c)), objective(out), out[2]
+        return (g_try, out, step * abs(c)), objective(out), out[4]
 
-    residual = state[2]
+    residual = state[4]
     return _line_search(trial, objective(state), residual, abs(c) * residual * residual)
 
 
 def _descent_iterates(z, w, g):
-    """Geodesic descent from g: (eigh(S), residual, energy, None) per iterate,
-    S the determinant-1 multiple of g* g, until the line search finds no step."""
+    """Geodesic descent from g: (g, residual, energy) per iterate, until the
+    line search finds no step."""
     state = _moved_state(z, w, g)
     last = None  # (momentum, step * scale) of the last accepted step
     while True:
-        _, mom, residual, energy = state
-        yield np.linalg.eigh(_det_normalize(g.conj().T @ g)), residual, energy, None
+        mom, residual, energy = state[3:]
+        yield g, residual, energy
         # -d/ds Psi along -scale F is scale * residual^2
-        found = _geodesic_step(z, w, g, mom, -_step_scale(mom, last), state, lambda st: st[3])
+        found = _geodesic_step(z, w, g, mom, -_step_scale(mom, last), state, lambda st: st[5])
         if found is None:  # flat to machine precision; cannot make progress
             return
         g, state, t = found
@@ -338,20 +321,27 @@ def _descent_iterates(z, w, g):
 _METHODS = {"fixed-point": _tyler_iterates, "geodesic-descent": _descent_iterates}
 
 
-def _solve(z, w, iterates, tol: float, max_iter: int, stop=_stop_rule) -> BalanceResult:
-    """Trace each iterate (eigh(S), residual, energy, g), stop at the first
-    final verdict of ``stop(z, w, eigh(S), residual, tol, it, max_iter)`` or
-    at the cap, and report the last iterate's g, or S^(1/2) if g is None."""
+def _polar_factor(g: np.ndarray) -> np.ndarray:
+    """The Hermitian positive polar factor of g = U diag(s) V*, as (V U*) g: a
+    unitary keeps g's own residual, which V diag(s) V* loses as cond(g) grows."""
+    u, _, vh = np.linalg.svd(g)
+    return (vh.conj().T @ u.conj().T) @ g
+
+
+def _solve(z, w, iterates, tol: float, max_iter: int, stop, report=None) -> BalanceResult:
+    """Trace each iterate (g, residual, energy), stop at the first final
+    verdict of ``stop(z, w, g, residual, tol, it, max_iter)``, at the cap or,
+    when the iterates end, ``stop(..., stalled=True)``; report ``report(g)``."""
     trace = []
-    for it, (eig, residual, energy, g) in enumerate(iterates):
+    for it, (g, residual, energy) in enumerate(iterates):
         trace.append((it, residual, energy))
-        verdict, certificate = stop(z, w, eig, residual, tol, it, max_iter)
+        verdict, certificate = stop(z, w, g, residual, tol, it, max_iter)
         if verdict != VERDICT_MAX_ITERATIONS or it == max_iter:
             break
-    if g is None:  # the identity when the last state was not finite
-        g = _herm_sqrt(eig) if np.isfinite(residual) else np.eye(z.shape[1], dtype=complex)
+    else:
+        verdict, certificate = stop(z, w, g, residual, tol, it, max_iter, stalled=True)
     return BalanceResult(
-        g=GroupElement(g),
+        g=GroupElement(g if report is None else report(g)),
         residual=residual,
         iterations=len(trace) - 1,
         trace=trace,
@@ -394,7 +384,7 @@ def balance(
         # atoms span a proper subspace: full mass on it, nothing to balance
         span = Subspace(basis=span_basis(z), atom_indices=tuple(range(len(w))), mass=1.0)
         iterates, stop = _tyler_iterates, lambda *_: (VERDICT_DIVERGED, span)
-    return _solve(z, w, iterates(z, w, g0), tol, max_iter, stop)
+    return _solve(z, w, iterates(z, w, g0), tol, max_iter, stop, _polar_factor)
 
 
 def _gram_from_arrays(z: np.ndarray, w: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -441,28 +431,27 @@ def _validate_target(rho, k: int) -> np.ndarray:
     return rho
 
 
-def _target_stop(z, w, eig, residual, tol, it, max_iter):
+def _target_stop(z, w, g, residual, tol, *_, **__):
     """(verdict, certificate) of a target solve: converged or max-iterations."""
     return (VERDICT_CONVERGED if residual <= tol else VERDICT_MAX_ITERATIONS), None
 
 
 def _target_iterates(z, w, g, rho):
-    """Newton on F(g.nu) = rho - Id/(n+1) from g: (None, residual, energy, g)
-    of each iterate (its stop reads no S), until neither the Newton step nor
-    the steepest step on the squared residual is found; SingularGram when the
-    Gram solve fails."""
+    """Newton on F(g.nu) = rho - Id/(n+1) from g: (g, residual, energy) of each
+    iterate, until neither the Newton step nor the steepest step on the
+    squared residual is found; SingularGram when the Gram solve fails."""
     k = z.shape[1]
     beta = rho - np.eye(k) / k
     basis = np.array(traceless_hermitian_basis(k))  # (k^2 - 1, k, k)
     state = _moved_state(z, w, g, beta)
 
     def squared(st):  # Newton's objective: its rate of decrease is residual^2
-        return st[2] * st[2]
+        return st[4] * st[4]
 
     while True:
-        unit, mom, residual, energy = state
-        yield None, residual, energy, g
-        gram = _gram_from_arrays(unit, w, basis)
+        moved, sq, _, mom, residual, energy = state
+        yield g, residual, energy
+        gram = _gram_from_arrays(moved / np.sqrt(sq)[:, None], w, basis)
         rhs = np.einsum("ab,jba->j", beta - mom, basis).real  # tr((beta - F) A_j)
         try:
             coeffs = np.linalg.solve(gram, rhs)
@@ -495,7 +484,7 @@ def solve_target(
     current configuration, with Armijo backtracking on the squared residual.
     No span of a stable measure carries its share, so the solve stops only
     converged or at the cap (also when no step is found).  Each step takes
-    cond(g* g) up by at most COND_LIMIT; SingularGram when the Gram solve fails.
+    cond(g) up by at most COND_LIMIT^(1/2); SingularGram when the Gram solve fails.
     """
     check_max_iter(max_iter)
     check_tol("tol", tol)

@@ -4,7 +4,7 @@ Subcommands: classify, weight, balance, sphere, torus, decompose.  Exit
 codes: 0 stable/converged, 10 polystable-not-stable, 11
 semistable-not-polystable, 12 unstable, 2 input error, 20 diverged,
 21 iteration cap hit, 22 torus target outside the reachable polytope, 23
-ill-conditioned (balancing needs cond(S) beyond COND_LIMIT).
+ill-conditioned (balancing needs cond(g) beyond COND_LIMIT).
 All structured output is deterministic (canonical JSON / CSV with
 17-significant-digit floats).
 """
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Exit codes: 0 stable/converged, 10 polystable-not-stable, "
             "11 semistable-not-polystable, 12 unstable, 2 input error, "
             "20 diverged, 21 iteration cap, 22 target outside polytope, "
-            f"23 ill-conditioned (balancing needs cond(S) beyond {COND_LIMIT:g}). "
+            f"23 ill-conditioned (balancing needs cond(g) beyond {COND_LIMIT:g}). "
             "Set MEASURE_BALANCER_THREADS to cap BLAS parallelism. Random "
             "directions use numpy's PCG64 generator."
         ),

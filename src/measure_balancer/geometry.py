@@ -209,14 +209,15 @@ def herm_exp(a: np.ndarray) -> np.ndarray:
 
 
 def move_rows(g: np.ndarray, z: np.ndarray):
-    """The one kernel of the g-action: rows g z_i, their norms, and the unit rows."""
+    """The one kernel of the g-action: the rows g z_i and their squared norms."""
     if g.shape[0] != z.shape[1]:
         raise InvalidInput("group element size does not match the measure")
-    moved = (g @ z.T).T
-    norms = np.linalg.norm(moved, axis=1)
-    if np.any(norms < MIN_VECTOR_NORM):
+    moved = z @ g.T
+    parts = moved.view(float)  # (re, im) pairs of each row
+    sq = np.einsum("mk,mk->m", parts, parts)
+    if np.any(sq < MIN_VECTOR_NORM * MIN_VECTOR_NORM):
         raise NumericalDegeneracy("group action annihilated an atom representative")
-    return moved, norms, moved / norms[:, None]
+    return moved, sq
 
 
 def act_point(g: GroupElement, p: ProjectivePoint) -> ProjectivePoint:

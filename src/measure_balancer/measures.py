@@ -184,7 +184,7 @@ def _key_windows(key):
 
 def pushforward(g: GroupElement, nu: AtomicMeasure) -> AtomicMeasure:
     """The image measure g.nu: each atom moved by the projective action."""
-    moved, _, _ = move_rows(g.g, nu.coeffs)
+    moved, _ = move_rows(g.g, nu.coeffs)
     return AtomicMeasure(moved, nu.weights)
 
 
@@ -198,8 +198,8 @@ def momentum(nu: AtomicMeasure) -> MomentumMatrix:
 
 def kempf_ness(nu: AtomicMeasure, g: GroupElement) -> float:
     """Psi(nu, g) = sum_i w_i log ||g z_i||."""
-    _, norms, _ = move_rows(g.g, nu.coeffs)
-    return float(nu.weights @ np.log(norms))
+    _, sq = move_rows(g.g, nu.coeffs)
+    return 0.5 * float(nu.weights @ np.log(sq))
 
 
 def kempf_ness_derivative(

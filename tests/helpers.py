@@ -281,7 +281,7 @@ def semistable_measure(r: np.random.Generator, n: int) -> AtomicMeasure:
 def near_hyperplane_cloud(r: np.random.Generator, n: int, eps: float) -> AtomicMeasure:
     """n+2 equal atoms within about eps of the hyperplane z_n = 0 of C^(n+1).
 
-    Balancing a stable one needs cond(S) of order eps^-2, but it need not be
+    Balancing a stable one needs cond(g) of order 1/eps, but it need not be
     stable.  At n = 1 the hyperplane is one point, and atoms within about
     1.4e-6 of each other merge (overlap 1 - 1e-12): with r = rng(i) and
     eps = 10 ** r.uniform(-9, -6), 329 of the 334 n = 1 inputs of
@@ -295,8 +295,8 @@ def near_hyperplane_cloud(r: np.random.Generator, n: int, eps: float) -> AtomicM
 
 
 # Seeds of near_hyperplane_cloud(r, 2, 10 ** r.uniform(-9, -6)), r = rng(seed),
-# on which the fixed point's S rounds to a singular matrix (cond(S) past 1/eps)
-# before the stop rule ends the run.
+# on which S = g* g of the balancing g rounds to a singular matrix (cond(g) of
+# 3e8 to 1.5e9, so cond(S) past 1/eps); the iterate g itself converges.
 SINGULAR_S_SEEDS = (367, 1699, 2743, 2935)
 
 

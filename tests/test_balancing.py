@@ -195,18 +195,22 @@ def test_the_result_is_the_last_traced_iterate(case, method):
     else:
         res = balance(nu, method=method, max_iter=max_iter)
     expected = {
-        "converged": VERDICT_CONVERGED,
         "planted-unstable": VERDICT_DIVERGED,
         "max-iterations": VERDICT_MAX_ITERATIONS,
         "proper-span": VERDICT_DIVERGED,
-    }.get(case, VERDICT_ILL_CONDITIONED)
+    }.get(case, VERDICT_CONVERGED)
     assert res.verdict == expected
     assert res.residual == res.trace[-1][1]
     assert res.iterations == res.trace[-1][0] == len(res.trace) - 1
     assert [t[0] for t in res.trace] == list(range(len(res.trace)))
     g = res.g.g
-    if method != "target":  # S^(1/2)
-        assert np.linalg.norm(g - g.conj().T) <= 1e-12 * np.linalg.norm(g)
+    if method != "target":  # the polar factor (V U*) g of the last g = U diag(s) V*
+        # Hermitian to about cond(g) eps: 1e-12 on well-conditioned g, and
+        # cond(g) 1e-15 on the singular-S clouds, whose g has cond 3e8 to 1.5e9.
+        bound = 1e-12 if case not in SINGULAR_S_SEEDS else 1e-15 * np.linalg.cond(g)
+        assert np.linalg.norm(g - g.conj().T) <= bound * np.linalg.norm(g)
+        if expected == VERDICT_CONVERGED:  # and it keeps the last g's residual
+            assert direct_momentum_residual(res.g, nu) <= 1e-9
     elif case == "converged":  # the composed element, not a polar factor
         moved = momentum(pushforward(res.g, nu)).m
         assert np.linalg.norm(moved - (rho - np.eye(3) / 3)) <= balancing.DEFAULT_TOL
@@ -302,20 +306,40 @@ def count_linalg(monkeypatch, *names):
 @pytest.mark.parametrize("kind", ["stable", "unstable"])
 @pytest.mark.parametrize("seed, n", [(0, 2), (1, 3), (2, 4)])
 def test_a_fixed_point_iterate_decomposes_s_once(kind, seed, n, monkeypatch):
-    # One eigh(S) per iterate serves the residual's S^(1/2), the cond(S)
-    # stop, the eigenspace scans and the reported S^(1/2).
+    # S = g* g is never formed: each step takes one eigh of the moved scatter
+    # R, and each judged iterate one SVD of g, its singular values alone on a
+    # plain iterate and a full SVD at a scan (iterations 1, 2, 4, ...); the
+    # reported polar factor takes one more full SVD.
     nu = stable_measure(rng(seed), n) if kind == "stable" else unstable_measure(rng(seed), n)[0]
-    calls = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    calls = count_linalg(monkeypatch, "eigh", "eigvalsh", "inv", "slogdet")
+    svds = {"values": 0, "full": 0}
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):  # the SVDs of g, (k, k); atom spans take (k, j < k)
+        if a.shape == (n + 1, n + 1):
+            svds["full" if kwargs.get("compute_uv", True) else "values"] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     res = balance(nu)
     assert res.verdict == (VERDICT_CONVERGED if kind == "stable" else VERDICT_DIVERGED)
-    assert res.iterations > 1
-    assert calls == {"eigh": res.iterations + 1, "eigvalsh": 0}
+    last = res.iterations
+    assert last > 1
+    scans = {it for it in range(1, last + 1) if it & (it - 1) == 0}
+    judged = range(last) if kind == "stable" else range(last + 1)  # a converged iterate takes none
+    if kind == "unstable":
+        assert last in scans  # certified at a scan
+    assert calls == {"eigh": last, "eigvalsh": 0, "inv": 0, "slogdet": 0}
+    assert svds == {
+        "values": sum(it not in scans for it in judged),
+        "full": sum(it in scans for it in judged) + 1,
+    }
 
 
 @pytest.mark.parametrize("kind", ["stable", "unstable"])
 def test_a_descent_step_reads_one_eigvalsh_for_its_cap(kind, monkeypatch):
-    # The stop rule reads the iterate's eigh(S); the only eigvalsh is that
-    # of F in the COND_LIMIT cap of each step.
+    # The stop rule reads the singular values of g; the only eigvalsh is
+    # that of F in the COND_LIMIT cap of each step.
     nu = stable_measure(rng(52), 2) if kind == "stable" else unstable_measure(rng(6), 2)[0]
     steps = []
     geodesic_step = balancing._geodesic_step
@@ -502,9 +526,9 @@ def test_a_target_needing_cond_past_cond_limit_converges(b):
     # nu = ([1:b] + [1:-b] + [0:1])/3 is stable (no atom carries 1/2).  The
     # off-diagonal terms cancel, so rho = diag(eps, 1 - eps) is reached by
     # g = diag(s, 1/s) with (2/3) s^4 / b^2 = eps: cond(g* g) = 1/s^4 is
-    # far past COND_LIMIT, which stops balancing but not a target solve.
-    # Each Newton step takes cond(g* g) up by at most COND_LIMIT, so the
-    # solve passes it in several steps; here it starts at 3 s, past it.
+    # far past COND_LIMIT, and a target solve has no cond stop.  Each Newton
+    # step takes cond(g* g) up by at most COND_LIMIT, so the solve passes it
+    # in several steps; here it starts at 3 s, past it.
     eps = balancing.TARGET_MIN_EIGENVALUE
     nu = two_cone_measure(b)
     s = 3 * (1.5 * eps * b * b) ** 0.25
@@ -949,29 +973,58 @@ def test_balancing_agrees_with_the_classifier_on_exact_coincidences(seed, n, m):
             assert res.verdict == VERDICT_CONVERGED, (method, kind, res.verdict)
 
 
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("eps", [1e-6, 1e-9])
-def test_stable_measure_near_a_hyperplane_is_ill_conditioned(method, eps):
-    # Stable, but the balancing S needs cond(S) beyond COND_LIMIT; no proper
-    # subspace carries its share, so there is nothing to certify.
-    nu = near_hyperplane_cloud(rng(72), 2, eps)
+def converges_then_is_ill_conditioned(nu, method, limit, monkeypatch):
+    """Stable nu converges under COND_LIMIT, to a g that balances it to 1e-9;
+    with COND_LIMIT lowered to ``limit``, below the cond(g) that nu needs, the
+    run ends ill-conditioned: no proper subspace carries its share, so there
+    is nothing to certify, and the reported g is finite."""
     assert classify(nu).kind is StabilityKind.STABLE
     res = balance(nu, method=method)
-    assert res.verdict == VERDICT_ILL_CONDITIONED
-    assert res.certificate is None
-
-
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("seed", SINGULAR_S_SEEDS)
-def test_a_rounded_singular_s_is_ill_conditioned_not_an_error(seed, method):
-    # S^(1/2) keeps its smallest eigenvalue at eps * the largest, so the
-    # returned element stays invertible.
-    nu = singular_s_cloud(seed)
-    assert classify(nu).kind is StabilityKind.STABLE
+    assert res.verdict == VERDICT_CONVERGED
+    assert direct_momentum_residual(res.g, nu) <= 1e-9
+    monkeypatch.setattr(balancing, "COND_LIMIT", limit)
     res = balance(nu, method=method)
     assert res.verdict == VERDICT_ILL_CONDITIONED
     assert res.certificate is None
     assert np.all(np.isfinite(res.g.g))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_stable_measure_near_a_hyperplane_is_ill_conditioned(method, eps, monkeypatch):
+    # The balancing g has cond(g) about 2.2 / eps, and S = g* g the square of
+    # it: 5e18 at eps = 1e-9, which only the iterate g resolves.
+    converges_then_is_ill_conditioned(near_hyperplane_cloud(rng(72), 2, eps), method, 0.1 / eps, monkeypatch)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", SINGULAR_S_SEEDS)
+def test_a_rounded_singular_s_is_ill_conditioned_not_an_error(seed, method, monkeypatch):
+    # The balancing g has cond(g) 3e8 to 1.5e9, so S = g* g rounds to a
+    # singular matrix; the iterate g stays invertible.
+    converges_then_is_ill_conditioned(singular_s_cloud(seed), method, 1e6, monkeypatch)
+
+
+def test_a_stop_past_cond_limit_without_a_heavy_span_is_ill_conditioned():
+    # Generic stable input: no atom span carries its share, so a g past
+    # COND_LIMIT (here 1e14) has nothing to certify.
+    nu = stable_measure(rng(0), 2)
+    g = np.diag([1e7, 1.0, 1e-7]).astype(complex)
+    verdict = balancing._stop_rule(nu.coeff_matrix(), nu.weights, g, 1.0, balancing.DEFAULT_TOL, 5, DEFAULT_MAX_ITER)
+    assert verdict == (VERDICT_ILL_CONDITIONED, None)
+
+
+@pytest.mark.parametrize("seed, n, m", [(712, 2, 5), (48, 1, 6)])
+def test_a_descent_run_with_no_step_is_judged_by_the_degenerate_scan(seed, n, m):
+    # Semistable-not-polystable: descent stalls before the cap, at a g whose
+    # small singular subspace holds a tight span (excess 0), so it ends
+    # diverged on that span rather than max-iterations.
+    nu = gaussian_integer_measure(rng(seed), n, m)
+    assert classify(nu).kind is StabilityKind.SEMISTABLE_NOT_POLYSTABLE
+    res = balance(nu, method="geodesic-descent")
+    assert res.verdict == VERDICT_DIVERGED
+    assert res.iterations < DEFAULT_MAX_ITER
+    assert certified_excess(nu, res.certificate.atom_indices) >= -stability.DEFAULT_TOL_EQ
 
 
 @pytest.mark.parametrize(
@@ -980,9 +1033,8 @@ def test_a_rounded_singular_s_is_ill_conditioned_not_an_error(seed, method):
         pytest.param(
             seed,
             method,
-            # the scan misses the classifier's span and the run ends ill-conditioned
-            marks=[] if (seed, method) == (167, "geodesic-descent")
-            else pytest.mark.xfail(strict=True, reason="ROADMAP item 3"),
+            # the run converges to a checked zero where classify says unstable
+            marks=[] if seed == 167 else pytest.mark.xfail(strict=True, reason="ROADMAP item 4"),
         )
         for seed in RANK_BOUNDARY_SEEDS
         for method in METHODS
@@ -994,6 +1046,19 @@ def test_unstable_input_at_the_rank_cutoff_is_certified_diverged(seed, method):
     res = balance(nu, method=method)
     assert res.verdict == VERDICT_DIVERGED
     assert -res.certificate.margin > stability.DEFAULT_TOL_EQ
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("seed", [seed for seed in RANK_BOUNDARY_SEEDS if seed != 167])
+def test_inputs_unstable_at_the_rank_cutoff_converge_to_a_checked_zero(seed, method):
+    # classify reads n + 1 of the atoms as rank n at its cutoff, but the
+    # stored floats have a zero of the momentum map: the reported g balances
+    # them to DEFAULT_TOL, recomputed from the atoms (at most 8.2e-11 here).
+    nu = rank_boundary_cloud(seed)
+    assert classify(nu).kind is StabilityKind.UNSTABLE
+    res = balance(nu, method=method)
+    assert res.verdict == VERDICT_CONVERGED
+    assert direct_momentum_residual(res.g, nu) <= balancing.DEFAULT_TOL
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import measure_balancer
-from measure_balancer import AtomicMeasure, ProjectivePoint, SphereMeasure, cli, stability
+from measure_balancer import AtomicMeasure, ProjectivePoint, SphereMeasure, balancing, cli, stability
 from measure_balancer.cli import main
 
 from helpers import (
     SINGULAR_S_SEEDS,
+    direct_momentum_residual,
     near_hyperplane_cloud,
     random_vector,
     rng,
@@ -434,11 +435,18 @@ def test_balance_semistable_exits_21(semistable_file, capsys):
     assert doc["verdict"] == "max-iterations"
 
 
-@pytest.mark.parametrize("method", ["fixed-point", "geodesic-descent"])
-def test_balance_near_a_hyperplane_exits_23_without_certificate(tmp_path, method, capsys):
-    # Stable (margin 1/12), but balancing needs cond(S) of order 1e12.
+def balance_converges_then_exits_23(tmp_path, nu, method, limit, capsys, monkeypatch):
+    """Under the default COND_LIMIT ``balance`` converges on the stable nu (exit
+    0, the printed g balances nu to 1e-9); with COND_LIMIT lowered to ``limit``,
+    below the cond(g) that nu needs, it exits 23 with no certificate."""
     path = tmp_path / "near.json"
-    path.write_text(near_hyperplane_cloud(rng(72), 2, 1e-6).to_json(), encoding="utf-8")
+    path.write_text(nu.to_json(), encoding="utf-8")
+    assert main(["balance", str(path), "--method", method]) == 0
+    doc = json_tail(capsys.readouterr().out)
+    assert doc["verdict"] == "converged"
+    g = np.array([[complex(re, im) for re, im in row] for row in doc["g"]])
+    assert direct_momentum_residual(measure_balancer.GroupElement(g), nu) <= 1e-9
+    monkeypatch.setattr(balancing, "COND_LIMIT", limit)
     assert main(["balance", str(path), "--method", method]) == 23
     out = capsys.readouterr().out
     assert "verdict: ill-conditioned" in out
@@ -448,15 +456,19 @@ def test_balance_near_a_hyperplane_exits_23_without_certificate(tmp_path, method
 
 
 @pytest.mark.parametrize("method", ["fixed-point", "geodesic-descent"])
+def test_balance_near_a_hyperplane_exits_23_without_certificate(tmp_path, method, capsys, monkeypatch):
+    # Stable (margin 1/12); balancing needs cond(g) of about 2.2e6.
+    nu = near_hyperplane_cloud(rng(72), 2, 1e-6)
+    balance_converges_then_exits_23(tmp_path, nu, method, 1e5, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("method", ["fixed-point", "geodesic-descent"])
 @pytest.mark.parametrize("seed", SINGULAR_S_SEEDS)
-def test_balance_with_a_rounded_singular_s_exits_23(tmp_path, seed, method, capsys):
-    # cond(S) passes 1/eps before the run stops; it must not exit 2.
-    path = tmp_path / "near.json"
-    path.write_text(singular_s_cloud(seed).to_json(), encoding="utf-8")
-    assert main(["balance", str(path), "--method", method]) == 23
-    doc = json_tail(capsys.readouterr().out)
-    assert doc["verdict"] == "ill-conditioned"
-    assert doc["certificate"] is None
+def test_balance_with_a_rounded_singular_s_exits_23(tmp_path, seed, method, capsys, monkeypatch):
+    # Balancing needs cond(g) of 3e8 to 1.5e9, so S = g* g would round to a
+    # singular matrix; g itself converges.  A limit of 1e6 stops the run
+    # ill-conditioned, and it must not exit 2.
+    balance_converges_then_exits_23(tmp_path, singular_s_cloud(seed), method, 1e6, capsys, monkeypatch)
 
 
 def test_balance_trace_csv(tmp_path, stable_file, capsys):

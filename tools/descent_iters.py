@@ -17,8 +17,8 @@ Runs ``balance(nu, method=...)`` of each checkout on:
   ``near_hyperplane_cloud(r, n, 10.0 ** r.uniform(-9, -6))``, r = rng(i),
   of the i with i % 4 == 3, and the Gaussian-integer measures
   ``gaussian_integer_measure(rng(i), n, m)`` of the i with i % 4 == 0.  The
-  clouds drive S toward a singular matrix (they end ``ill-conditioned`` or
-  ``diverged``), and the exact coincidences of the Gaussian-integer atoms
+  clouds need a balancing g with cond(g) of order 1/eps (cond(g* g) of
+  order eps^-2), and the exact coincidences of the Gaussian-integer atoms
   make boundary cases common; the other groups have few of either.
 
 One subprocess per checkout imports the package from its ``src/``, with
