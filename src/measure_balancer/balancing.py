@@ -1,8 +1,8 @@
 """Solvers that move a measure to a prescribed momentum value.
 
 Balancing solves F(g.nu) = 0 over g in SL(n+1, C), iterating g itself on
-its moved state: the unit rows u_i of g z_i and the moved scatter
-R = sum_i w_i u_i u_i*, so that F = R - Id/(n+1).  The fixed point (the
+its moved state (``measures.moved_state``): the unit rows u_i of g z_i and
+the moved scatter R = sum_i w_i u_i u_i*, so that F = R - Id/(n+1).  The fixed point (the
 default) steps g <- (k R)^(-1/2) g, k = n + 1, at determinant 1: Tyler's
 scatter iteration S <- R(S)^(-1) on S = g* g, written on g, where R tends
 to Id/k and stays well conditioned although cond(S) = cond(g)^2.  It is a
@@ -32,7 +32,8 @@ it stops only converged or at the cap.  Each solve only yields its
 iterates; one loop, ``_solve``, traces them, applies the solve's stop rule
 and builds the result from the last one.  The diagonal-torus version
 (targets on the momentum polytope of the coordinate torus) is a damped
-Newton solve of a convex log-sum-exp objective.
+Newton solve of the convex objective Psi(nu, diag(e^theta)) - <p, theta>,
+read from the same moved state, on grounded coordinates.
 """
 
 from __future__ import annotations
@@ -58,13 +59,12 @@ from .geometry import (
     GroupElement,
     SpectralDirection,
     herm_exp,
-    move_rows,
     nested_span_distances,
     span_basis,
     span_rank,
     traceless_hermitian_basis,
 )
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, moved_state
 from .stability import DEFAULT_TOL_EQ, StabilityKind, Subspace, atom_span, classify
 from .util import check_max_iter, check_tol
 
@@ -78,7 +78,7 @@ DEFAULT_MAX_ITER = 2000
 DEFAULT_NEWTON_MAX_ITER = 200  # cap of the Newton solves (target, torus)
 COND_LIMIT = 1e12  # cond(g) beyond this stops a balance as degenerate
 TORUS_LP_FLOOR = 1e-9  # interiority floor delta (min p on full support) at or below this: not interior
-TORUS_HESSIAN_RIDGE = 1e-14  # ridge on the reduced torus Hessian, times max(1, max |entry|)
+TORUS_HESSIAN_RIDGE = 1e-14  # ridge on the grounded torus Hessian, times max(1, max |entry|)
 MIN_STEP = 2.0**-40
 ARMIJO_C = 1e-4
 OBJECTIVE_RESOLUTION = 1e-14  # a decrease below this * max(1, |objective|) is unresolvable
@@ -209,7 +209,7 @@ def _tyler_iterates(z, w, g):
     """Tyler's fixed point g <- (k R)^(-1/2) g at determinant 1: (g, residual,
     energy) per iterate, until R is not positive definite.  R is read as summed:
     F + Id/k would round away its smallest eigenvalue (1e-18 at 1e-9 off a plane)."""
-    state = _moved_state(z, w, g)
+    state = moved_state(z, w, g)
     while True:
         _, _, scatter, _, residual, energy = state
         yield g, residual, energy
@@ -218,7 +218,7 @@ def _tyler_iterates(z, w, g):
             return
         root = np.sqrt(vals / np.exp(np.log(vals).mean()))
         g = (vecs / root) @ (vecs.conj().T @ g)
-        state = _moved_state(z, w, g)
+        state = moved_state(z, w, g)
 
 
 def _line_search(trial, objective: float, residual: float, slope: float):
@@ -243,18 +243,6 @@ def _line_search(trial, objective: float, residual: float, slope: float):
                 return point
         step /= 2.0
     return None
-
-
-def _moved_state(z, w, g, beta=None):
-    """The state at g: rows g z_i, their squared norms, the moved scatter R,
-    the momentum F = R - Id/(n+1), the residual ||F - beta|| and the energy."""
-    k = z.shape[1]
-    moved, sq = move_rows(g, z)
-    scatter = moved.T @ (moved.conj() * (w / sq)[:, None])
-    mom = scatter - np.eye(k) / k
-    residual = float(np.linalg.norm(mom if beta is None else mom - beta))
-    energy = 0.5 * float(w @ np.log(sq))
-    return moved, sq, scatter, mom, residual, energy
 
 
 def _step_scale(mom: np.ndarray, last) -> float:
@@ -293,7 +281,7 @@ def _geodesic_step(z, w, g, x, c, state, objective, beta=None):
     def trial(step):
         try:
             g_try = GroupElement(herm_exp(step * c * x) @ g).g
-            out = _moved_state(z, w, g_try, beta)
+            out = moved_state(z, w, g_try, beta)
         except (InvalidInput, NumericalDegeneracy):  # overflowed or singular
             return None
         return (g_try, out, step * abs(c)), objective(out), out[4]
@@ -305,7 +293,7 @@ def _geodesic_step(z, w, g, x, c, state, objective, beta=None):
 def _descent_iterates(z, w, g):
     """Geodesic descent from g: (g, residual, energy) per iterate, until the
     line search finds no step."""
-    state = _moved_state(z, w, g)
+    state = moved_state(z, w, g)
     last = None  # (momentum, step * scale) of the last accepted step
     while True:
         mom, residual, energy = state[3:]
@@ -443,7 +431,7 @@ def _target_iterates(z, w, g, rho):
     k = z.shape[1]
     beta = rho - np.eye(k) / k
     basis = np.array(traceless_hermitian_basis(k))  # (k^2 - 1, k, k)
-    state = _moved_state(z, w, g, beta)
+    state = moved_state(z, w, g, beta)
 
     def squared(st):  # Newton's objective: its rate of decrease is residual^2
         return st[4] * st[4]
@@ -510,14 +498,6 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _sum_zero_basis(k: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the sum-zero subspace of R^k."""
-    full = np.eye(k)
-    ones = np.ones((k, 1)) / np.sqrt(k)
-    qmat, _ = np.linalg.qr(np.hstack([ones, full]))
-    return qmat[:, 1:k]
-
-
 def _torus_lp(w, support, p_target):
     """The interiority LP: (c, A_ub, b_ub, A_eq, b_eq, bounds) for linprog.
 
@@ -581,12 +561,15 @@ def torus_solve(
 ) -> TorusSolveResult:
     """Find theta (sum zero) with diag-momentum target beta.
 
-    Minimizes f(theta) - <beta + 1/(n+1), theta> where
-    f(theta) = sum_i w_i (1/2) log(sum_j e^(2 theta_j) |z_ij|^2) by damped
-    Newton on the sum-zero subspace.  The target must lie strictly inside
-    the reachable polytope: min p above TORUS_LP_FLOOR on full support, an
-    LP on a partial one.  MaxIterations is raised when the cap is hit, as
-    happens for targets approaching the boundary.
+    Minimizes Psi(nu, diag(e^theta)) - <p, theta>, p = beta + 1/(n+1), read
+    as Psi + max theta at g = diag(e^(theta - max theta)) (entries at most 1),
+    by damped Newton.  The objective is constant along theta + t 1, so each
+    step is solved with theta's last coordinate held at 0, then recentred to
+    sum zero; the residual is diag F(g.nu) - beta, and a trial point at which
+    an atom's moved row underflows is skipped.  The target must lie strictly
+    inside the reachable polytope: min p above TORUS_LP_FLOOR on full
+    support, an LP on a partial one.  MaxIterations is raised when the cap is
+    hit, as happens for targets approaching the boundary.
     """
     check_max_iter(max_iter)
     check_tol("tol", tol)
@@ -602,25 +585,15 @@ def torus_solve(
     p_target = beta + 1.0 / k
     z = nu.coeff_matrix()
     w = nu.weights
-    sq = np.abs(z) ** 2  # (m, k)
-    support = np.abs(z) > COMPONENT_TOL
-    _check_torus_target(w, support, p_target)
-    with np.errstate(divide="ignore"):
-        log_sq = np.where(support, np.log(np.where(support, sq, 1.0)), -np.inf)
-    reduced = _sum_zero_basis(k)
+    _check_torus_target(w, np.abs(z) > COMPONENT_TOL, p_target)
     theta = np.zeros(k)
 
-    def state(th):
-        lvals = 2.0 * th[None, :] + log_sq
-        shift = lvals.max(axis=1)
-        expd = np.exp(lvals - shift[:, None])
-        denom = expd.sum(axis=1)
-        p = expd / denom[:, None]
-        grad = w @ p
-        value = float(w @ (0.5 * (np.log(denom) + shift)))
-        objective = value - float(p_target @ th)
-        resvec = grad - p_target
-        return p, resvec, float(np.linalg.norm(resvec)), objective
+    def state(th):  # at g = diag(e^(theta - max theta)), which cannot overflow
+        top = float(th.max())
+        moved, sq, _, mom, _, energy = moved_state(z, w, np.diag(np.exp(th - top)))
+        p = (moved.real**2 + moved.imag**2) / sq[:, None]  # |u_ij|^2
+        resvec = mom.diagonal().real - beta
+        return p, resvec, float(np.linalg.norm(resvec)), energy + top - float(p_target @ th)
 
     p, resvec, residual, objective = state(theta)
     for it in range(max_iter + 1):
@@ -630,14 +603,15 @@ def torus_solve(
             )
         if it == max_iter:
             break
-        hess = 2.0 * (np.diag(w @ p) - p.T @ (w[:, None] * p))
-        hred = reduced.T @ hess @ reduced
-        hred = hred + np.eye(k - 1) * TORUS_HESSIAN_RIDGE * max(1.0, float(np.abs(hred).max()))
+        # the Hessian kills 1 and the residual sums to zero: ground theta's last coordinate
+        hess = 2.0 * (np.diag(w @ p) - p.T @ (w[:, None] * p))[:-1, :-1]
+        hess = hess + np.eye(k - 1) * TORUS_HESSIAN_RIDGE * max(1.0, float(np.abs(hess).max()))
         try:
-            dred = np.linalg.solve(hred, -(reduced.T @ resvec))
+            step_dir = np.linalg.solve(hess, -resvec[:-1])
         except np.linalg.LinAlgError:
-            dred, *_ = np.linalg.lstsq(hred, -(reduced.T @ resvec), rcond=None)
-        step_dir = reduced @ dred
+            step_dir, *_ = np.linalg.lstsq(hess, -resvec[:-1], rcond=None)
+        step_dir = np.append(step_dir, 0.0)
+        step_dir -= step_dir.mean()
         slope = float(resvec @ step_dir)
         if slope >= 0.0:  # fall back to plain gradient descent direction
             step_dir = -(resvec - resvec.mean())
@@ -646,7 +620,10 @@ def torus_solve(
         def trial(step):
             theta_try = theta + step * step_dir
             theta_try = theta_try - theta_try.mean()
-            out = state(theta_try)
+            try:
+                out = state(theta_try)
+            except NumericalDegeneracy:  # an atom's moved row underflowed
+                return None
             return (theta_try, out), out[3], out[2]
 
         found = _line_search(trial, objective, residual, -slope)

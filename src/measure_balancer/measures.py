@@ -11,7 +11,9 @@ The Kempf-Ness energy of a measure under g in SL(n+1, C) is
     Psi(nu, g) = sum_i w_i log ||g z_i||      (z_i unit representatives),
 
 whose derivative along a direction A at g recovers the momentum pairing
-<F(g.nu), A> with F(nu) = sum_i w_i (z_i z_i* - Id/(n+1)).
+<F(g.nu), A> with F(nu) = sum_i w_i (z_i z_i* - Id/(n+1)).  One kernel,
+:func:`moved_state`, evaluates both at g: the momentum, the potential, its
+derivative and every solve read it, and none builds the image measure.
 """
 
 from __future__ import annotations
@@ -182,6 +184,23 @@ def _key_windows(key):
     return order, lo, np.searchsorted(ordered, ordered + MERGE_WINDOW, side="right")
 
 
+def moved_state(z: np.ndarray, w: np.ndarray, g: np.ndarray, beta=None):
+    """The one evaluation of g.nu from unit atom rows z and weights w.
+
+    Returns the moved rows g z_i, their squared norms, the moved scatter
+    R = sum_i w_i u_i u_i* of the unit moved rows u_i, the momentum
+    F(g.nu) = R - Id/(n+1), the residual ||F - beta|| (beta = 0 when None)
+    and the Kempf-Ness energy Psi(nu, g).
+    """
+    k = z.shape[1]
+    moved, sq = move_rows(g, z)
+    scatter = moved.T @ (moved.conj() * (w / sq)[:, None])
+    mom = scatter - np.eye(k) / k
+    residual = float(np.linalg.norm(mom if beta is None else mom - beta))
+    energy = 0.5 * float(w @ np.log(sq))
+    return moved, sq, scatter, mom, residual, energy
+
+
 def pushforward(g: GroupElement, nu: AtomicMeasure) -> AtomicMeasure:
     """The image measure g.nu: each atom moved by the projective action."""
     moved, _ = move_rows(g.g, nu.coeffs)
@@ -189,17 +208,13 @@ def pushforward(g: GroupElement, nu: AtomicMeasure) -> AtomicMeasure:
 
 
 def momentum(nu: AtomicMeasure) -> MomentumMatrix:
-    """F(nu) = sum_i w_i (z_i z_i* - Id/(n+1))."""
-    z = nu.coeff_matrix()
-    k = nu.dim + 1
-    m = (z.T * nu.weights) @ z.conj() - np.eye(k) / k
-    return MomentumMatrix(m)
+    """F(nu) = sum_i w_i (z_i z_i* - Id/(n+1)): the moved state at g = Id."""
+    return MomentumMatrix(moved_state(nu.coeffs, nu.weights, np.eye(nu.dim + 1))[3])
 
 
 def kempf_ness(nu: AtomicMeasure, g: GroupElement) -> float:
     """Psi(nu, g) = sum_i w_i log ||g z_i||."""
-    _, sq = move_rows(g.g, nu.coeffs)
-    return 0.5 * float(nu.weights @ np.log(sq))
+    return moved_state(nu.coeffs, nu.weights, g.g)[5]
 
 
 def kempf_ness_derivative(
@@ -208,4 +223,4 @@ def kempf_ness_derivative(
     """d/dt Psi(nu, exp(tA) g) at t = 0, i.e. <F(g.nu), A>."""
     if d.size != nu.dim + 1:
         raise InvalidInput("direction size does not match the measure")
-    return momentum(pushforward(g, nu)).pairing(d)
+    return MomentumMatrix(moved_state(nu.coeffs, nu.weights, g.g)[3]).pairing(d)

@@ -28,7 +28,7 @@ from .balancing import (
 )
 from .errors import InvalidInput
 from .geometry import GroupElement, ProjectivePoint, row_norms
-from .measures import AtomicMeasure, checked_weights, momentum, pushforward
+from .measures import AtomicMeasure, checked_weights, moved_state
 from .util import canonical_json, parse_json, read_numbers
 
 POINT_NORM_TOL = 1e-6  # sphere points may drift this far from unit norm
@@ -149,12 +149,12 @@ def hersch_balance(
 
     Balances the CP^1 image and returns the Mobius transformation (as an
     element of SL(2, C)), the balance result and the center of mass of the
-    transported measure.  A measure with an atom of mass > 1/2 is
-    uncenterable: its run stops ``diverged`` with that atom as the
-    certificate, the transformation is the iterate at which it stopped, and
-    the center of mass is the untouched one.
+    transported measure: bloch of F at the returned g.  A measure with an
+    atom of mass > 1/2 is uncenterable: its run stops ``diverged`` with that
+    atom as the certificate, the transformation is the iterate at which it
+    stopped, and the center of mass is the untouched one.
     """
     nu = to_projective(sm)
     result = balance(nu, tol=tol, max_iter=max_iter)
-    moved = pushforward(result.g, nu) if result.verdict == VERDICT_CONVERGED else nu
-    return result.g, result, bloch(momentum(moved).m)
+    g = result.g.g if result.verdict == VERDICT_CONVERGED else np.eye(2)
+    return result.g, result, bloch(moved_state(nu.coeffs, nu.weights, g)[3])

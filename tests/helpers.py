@@ -294,6 +294,21 @@ def near_hyperplane_cloud(r: np.random.Generator, n: int, eps: float) -> AtomicM
     return AtomicMeasure(z, np.full(m, 1 / m))
 
 
+def near_cutoff_cloud(seed: int) -> AtomicMeasure:
+    """near_hyperplane_cloud(r, 1 + seed % 3, 10 ** r.uniform(-10.3, -8.5)), r = rng(seed):
+    clouds around the rank cutoff, which tools/descent_iters.py sweeps as its
+    near-cutoff group."""
+    r = rng(seed)
+    return near_hyperplane_cloud(r, 1 + seed % 3, 10.0 ** r.uniform(-10.3, -8.5))
+
+
+# Seeds of near_cutoff_cloud that classify calls stable (margin 1/12, 1/20,
+# 1/12) and the fixed point balances at cond(g) 2.4e9 to 1.2e10, while
+# descent stops ill-conditioned at iteration 3, 6 or 4: one capped step may
+# multiply cond(g) by COND_LIMIT^(1/2).
+NEAR_CUTOFF_DESCENT_SEEDS = (322, 458, 517)
+
+
 # Seeds of near_hyperplane_cloud(r, 2, 10 ** r.uniform(-9, -6)), r = rng(seed),
 # on which S = g* g of the balancing g rounds to a singular matrix (cond(g) of
 # 3e8 to 1.5e9, so cond(S) past 1/eps); the iterate g itself converges.

@@ -45,6 +45,7 @@ from measure_balancer import balancing, stability
 from measure_balancer.balancing import DEFAULT_MAX_ITER, _torus_lp
 
 from helpers import (
+    NEAR_CUTOFF_DESCENT_SEEDS,
     PLANTED_SWEEP,
     RANK_BOUNDARY_SEEDS,
     SINGULAR_S_SEEDS,
@@ -54,6 +55,7 @@ from helpers import (
     direct_momentum_residual,
     gaussian_integer_measure,
     hermitian_exp,
+    near_cutoff_cloud,
     near_hyperplane_cloud,
     polystable_measure,
     random_measure,
@@ -262,7 +264,7 @@ def test_descent_evaluates_each_accepted_iterate_once(case, monkeypatch):
     # only other evaluation is the start; no point is evaluated twice.
     calls = {"states": 0, "trials": 0}
     points = set()
-    moved_state, line_search = balancing._moved_state, balancing._line_search
+    moved_state, line_search = balancing.moved_state, balancing._line_search
 
     def counted_state(z, w, g, *args):
         calls["states"] += 1
@@ -276,7 +278,7 @@ def test_descent_evaluates_each_accepted_iterate_once(case, monkeypatch):
 
         return line_search(counted_trial, *args)
 
-    monkeypatch.setattr(balancing, "_moved_state", counted_state)
+    monkeypatch.setattr(balancing, "moved_state", counted_state)
     monkeypatch.setattr(balancing, "_line_search", counted_search)
     if case == "diverging":
         nu, *_ = unstable_measure(rng(6), 2)
@@ -777,6 +779,50 @@ def test_only_a_partial_support_target_solves_an_lp(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_torus_target_on_a_coordinate_no_atom_touches_names_it():
+    nu = measure_on([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1 / 3] * 3)
+    with pytest.raises(TargetOutsidePolytope, match="coordinate 2 is unreachable"):
+        torus_solve(nu, np.zeros(3))  # asks for p_2 = 1/3
+
+
+TORUS_CASES = [
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1 / 3] * 3, [0.1, -0.1]),
+    (random_measure(rng(58), 2, 6), None, [0.1, 0.05, -0.15]),
+]
+
+
+def torus_case(rows, weights, beta):
+    nu = rows if weights is None else measure_on(rows, weights)
+    return nu, np.array(beta)
+
+
+@pytest.mark.parametrize("case", TORUS_CASES, ids=["n1", "n2"])
+def test_a_failed_torus_newton_solve_falls_back_to_least_squares(case, monkeypatch):
+    nu, beta = torus_case(*case)
+    want = torus_solve(nu, beta)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    got = torus_solve(nu, beta)
+    assert got.converged and got.iterations == want.iterations
+    assert np.allclose(got.theta, want.theta, atol=1e-9)
+
+
+@pytest.mark.parametrize("case", TORUS_CASES, ids=["n1", "n2"])
+def test_a_torus_ascent_direction_falls_back_to_the_gradient(case, monkeypatch):
+    # Every Newton direction is turned into an ascent direction; the gradient
+    # steps alone still reach the target, in more iterations.
+    nu, beta = torus_case(*case)
+    want = torus_solve(nu, beta)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: -solve(a, b))
+    got = torus_solve(nu, beta)
+    assert got.converged and got.iterations > want.iterations
+    assert np.allclose(got.theta, want.theta, atol=1e-8)
+
+
 def test_torus_solve_is_deterministic():
     r = rng(59)
     nu = random_measure(r, 3, 7)
@@ -1059,6 +1105,58 @@ def test_inputs_unstable_at_the_rank_cutoff_converge_to_a_checked_zero(seed, met
     res = balance(nu, method=method)
     assert res.verdict == VERDICT_CONVERGED
     assert direct_momentum_residual(res.g, nu) <= balancing.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("seed", NEAR_CUTOFF_DESCENT_SEEDS)
+def test_stable_input_near_the_rank_cutoff_is_balanced_by_the_fixed_point(seed):
+    nu = near_cutoff_cloud(seed)
+    assert classify(nu).kind is StabilityKind.STABLE
+    res = balance(nu)
+    assert res.verdict == VERDICT_CONVERGED
+    assert direct_momentum_residual(res.g, nu) <= balancing.DEFAULT_TOL
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="one capped descent step may multiply cond(g) by COND_LIMIT^(1/2) and pass COND_LIMIT (ROADMAP item 3)",
+)
+@pytest.mark.parametrize("seed", NEAR_CUTOFF_DESCENT_SEEDS)
+def test_descent_balances_stable_input_near_the_rank_cutoff(seed):
+    res = balance(near_cutoff_cloud(seed), method="geodesic-descent")
+    assert res.verdict == VERDICT_CONVERGED
+
+
+def stall_tyler_at_first_step(monkeypatch):
+    """Make every eigh of R report a zero eigenvalue: R is not positive definite."""
+    eigh = np.linalg.eigh
+
+    def singular(a):
+        vals, vecs = eigh(a)
+        vals = vals.copy()
+        vals[0] = 0.0
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", singular)
+
+
+def test_a_fixed_point_run_whose_r_is_not_positive_definite_stops_at_max_iterations(monkeypatch):
+    # Stable input: the stalled scan at g = Id finds no span carrying its share.
+    nu = stable_measure(rng(0), 2)
+    stall_tyler_at_first_step(monkeypatch)
+    res = balance(nu)
+    assert (res.verdict, res.iterations, res.certificate) == (VERDICT_MAX_ITERATIONS, 0, None)
+
+
+def test_a_fixed_point_run_whose_r_is_not_positive_definite_is_judged_by_the_stalled_scan(monkeypatch):
+    # Semistable-not-polystable: the stalled scan at g = Id finds a tight span
+    # (excess 0), a certificate once the run cannot go on.
+    nu = gaussian_integer_measure(rng(712), 2, 5)
+    assert classify(nu).kind is StabilityKind.SEMISTABLE_NOT_POLYSTABLE
+    stall_tyler_at_first_step(monkeypatch)
+    res = balance(nu)
+    assert (res.verdict, res.iterations) == (VERDICT_DIVERGED, 0)
+    assert res.certificate.atom_indices == (0, 1, 4)
+    assert certified_excess(nu, res.certificate.atom_indices) >= -stability.DEFAULT_TOL_EQ
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -701,6 +701,14 @@ def test_torus_outside_polytope_exits_22(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_torus_target_on_an_untouched_coordinate_exits_22_and_names_it(tmp_path, capsys):
+    path = write_measure(
+        tmp_path, "plane.json", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1 / 3] * 3
+    )
+    assert main(["torus", path, "--beta=0,0,0"]) == 22
+    assert "coordinate 2 is unreachable" in capsys.readouterr().err
+
+
 def test_torus_iteration_cap_exits_21(stable_file, capsys):
     # Reachable p_0 is (0.34, 0.67); ask for 1e-7 inside the upper edge with
     # an iteration budget far too small to get there.

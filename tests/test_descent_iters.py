@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import gaussian_integer_measure, near_cutoff_cloud, near_hyperplane_cloud, rng
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "descent_iters.py"
 _SPEC = importlib.util.spec_from_file_location("descent_iters", _PATH)
 descent_iters = importlib.util.module_from_spec(_SPEC)
@@ -107,3 +109,28 @@ def test_main_exits_2_on_a_bad_argument(args, monkeypatch, capsys, tmp_path):
     assert descent_iters.main(args) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage: descent_iters.py OTHER_CHECKOUT")
+
+
+def test_the_sweep_takes_one_group_per_residue_of_i():
+    groups = [None if c is None else c[0] for c in map(descent_iters.sweep_case, range(8))]
+    assert groups == [
+        "gaussian-integer", "near-cutoff", None, "near-hyperplane",
+        "gaussian-integer", "near-cutoff", None, "near-hyperplane",
+    ]
+
+
+@pytest.mark.parametrize("i", [517, 521])
+def test_the_near_cutoff_group_is_a_near_hyperplane_cloud_of_smaller_eps(i):
+    group, label, nu = descent_iters.sweep_case(i)
+    n = 1 + i % 3
+    assert (group, label) == ("near-cutoff", f"near-cutoff/n{n}/s{i}")
+    assert nu.to_json() == near_cutoff_cloud(i).to_json()
+    r = rng(i)
+    eps = 10.0 ** r.uniform(-10.3, -8.5)
+    assert nu.to_json() == near_hyperplane_cloud(r, n, eps).to_json()
+
+
+def test_the_other_groups_keep_their_inputs():
+    r = rng(3)
+    assert descent_iters.sweep_case(3)[2].to_json() == near_hyperplane_cloud(r, 1, 10.0 ** r.uniform(-9, -6)).to_json()
+    assert descent_iters.sweep_case(12)[2].to_json() == gaussian_integer_measure(rng(12), 1, 6).to_json()

@@ -15,11 +15,14 @@ Runs ``balance(nu, method=...)`` of each checkout on:
 - for i < ``SWEEP_END``, with n = 1 + i % 3 and m = 2 + (i // 3) % 6 and
   both methods: the near-hyperplane clouds
   ``near_hyperplane_cloud(r, n, 10.0 ** r.uniform(-9, -6))``, r = rng(i),
-  of the i with i % 4 == 3, and the Gaussian-integer measures
-  ``gaussian_integer_measure(rng(i), n, m)`` of the i with i % 4 == 0.  The
-  clouds need a balancing g with cond(g) of order 1/eps (cond(g* g) of
-  order eps^-2), and the exact coincidences of the Gaussian-integer atoms
-  make boundary cases common; the other groups have few of either.
+  of the i with i % 4 == 3, the near-cutoff clouds
+  ``near_cutoff_cloud(i)`` (the same clouds with eps = 10 ** r.uniform(-10.3,
+  -8.5), around the rank cutoff) of the i with i % 4 == 1, and the
+  Gaussian-integer measures ``gaussian_integer_measure(rng(i), n, m)`` of the
+  i with i % 4 == 0.  The clouds need a balancing g with cond(g) of order
+  1/eps (cond(g* g) of order eps^-2), and the exact coincidences of the
+  Gaussian-integer atoms make boundary cases common; the other groups have
+  few of either.
 
 One subprocess per checkout imports the package from its ``src/``, with
 BLAS on one thread.  Both sides read the same measure documents, drawn by
@@ -103,17 +106,25 @@ def cases() -> list:
         ("stable", f"stable/n{n}/s{seed}", helpers.stable_measure(helpers.rng(seed), n))
         for n, seed in helpers.STABLE_SWEEP
     ]
-    for i in range(SWEEP_END):
-        n, m, r = 1 + i % 3, 2 + (i // 3) % 6, helpers.rng(i)
-        if i % 4 == 3:
-            nu = helpers.near_hyperplane_cloud(r, n, 10.0 ** r.uniform(-9, -6))
-            sweeps.append(("near-hyperplane", f"near-hyperplane/n{n}/s{i}", nu))
-        elif i % 4 == 0:
-            nu = helpers.gaussian_integer_measure(r, n, m)
-            sweeps.append(("gaussian-integer", f"gaussian-integer/n{n}/m{m}/s{i}", nu))
+    sweeps += [case for case in map(sweep_case, range(SWEEP_END)) if case is not None]
     for method in METHODS:
         found += [(group, label, nu.to_json(), method, None) for group, label, nu in sweeps]
     return found
+
+
+def sweep_case(i: int):
+    """(group, label, measure) of sweep input i, or None for i % 4 == 2."""
+    import helpers
+
+    n, m, r = 1 + i % 3, 2 + (i // 3) % 6, helpers.rng(i)
+    if i % 4 == 3:
+        nu = helpers.near_hyperplane_cloud(r, n, 10.0 ** r.uniform(-9, -6))
+        return "near-hyperplane", f"near-hyperplane/n{n}/s{i}", nu
+    if i % 4 == 1:
+        return "near-cutoff", f"near-cutoff/n{n}/s{i}", helpers.near_cutoff_cloud(i)
+    if i % 4 == 0:
+        return "gaussian-integer", f"gaussian-integer/n{n}/m{m}/s{i}", helpers.gaussian_integer_measure(r, n, m)
+    return None
 
 
 def run_checkout(checkout: Path, in_path: str, work: str) -> list:
