@@ -30,10 +30,10 @@ Newton's finds none, a steepest-descent step on the squared residual is
 tried.  Newton needs a stable measure, where no span carries its share, so
 it stops only converged or at the cap.  Each solve only yields its
 iterates; one loop, ``_solve``, traces them, applies the solve's stop rule
-and builds the result from the last one.  The diagonal-torus version
-(targets on the momentum polytope of the coordinate torus) is a damped
-Newton solve of the convex objective Psi(nu, diag(e^theta)) - <p, theta>,
-read from the same moved state, on grounded coordinates.
+and builds the result from the last one.  The momentum of the diagonal
+torus is diag F, so the torus solve (targets inside the momentum polytope
+of the coordinate torus) is the same Newton iteration on the diagonal
+directions, with the residual ||diag F - beta||.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ DEFAULT_MAX_ITER = 2000
 DEFAULT_NEWTON_MAX_ITER = 200  # cap of the Newton solves (target, torus)
 COND_LIMIT = 1e12  # cond(g) beyond this stops a balance as degenerate
 TORUS_LP_FLOOR = 1e-9  # interiority floor delta (min p on full support) at or below this: not interior
-TORUS_HESSIAN_RIDGE = 1e-14  # ridge on the grounded torus Hessian, times max(1, max |entry|)
 MIN_STEP = 2.0**-40
 ARMIJO_C = 1e-4
 OBJECTIVE_RESOLUTION = 1e-14  # a decrease below this * max(1, |objective|) is unresolvable
@@ -424,13 +423,17 @@ def _target_stop(z, w, g, residual, tol, *_, **__):
     return (VERDICT_CONVERGED if residual <= tol else VERDICT_MAX_ITERATIONS), None
 
 
-def _target_iterates(z, w, g, rho):
-    """Newton on F(g.nu) = rho - Id/(n+1) from g: (g, residual, energy) of each
+def _target_iterates(z, w, g, beta, basis):
+    """Newton on F(g.nu) = beta along a (K, k, k) stack of orthonormal
+    traceless Hermitian directions, from g: (g, residual, energy) of each
     iterate, until neither the Newton step nor the steepest step on the
-    squared residual is found; SingularGram when the Gram solve fails."""
-    k = z.shape[1]
-    beta = rho - np.eye(k) / k
-    basis = np.array(traceless_hermitian_basis(k))  # (k^2 - 1, k, k)
+    squared residual is found; SingularGram when the Gram solve fails.
+
+    ``beta`` is a traceless k x k target, or, for the diagonal directions,
+    the diagonal of one: the momentum of the diagonal torus is diag F, and
+    its residual ||diag F - beta|| (``moved_state``).
+    """
+    target = np.diag(beta) if beta.ndim == 1 else beta
     state = moved_state(z, w, g, beta)
 
     def squared(st):  # Newton's objective: its rate of decrease is residual^2
@@ -440,7 +443,7 @@ def _target_iterates(z, w, g, rho):
         moved, sq, _, mom, residual, energy = state
         yield g, residual, energy
         gram = _gram_from_arrays(moved / np.sqrt(sq)[:, None], w, basis)
-        rhs = np.einsum("ab,jba->j", beta - mom, basis).real  # tr((beta - F) A_j)
+        rhs = np.einsum("ab,jba->j", target - mom, basis).real  # tr((beta - F) A_j)
         try:
             coeffs = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError as exc:
@@ -482,7 +485,10 @@ def solve_target(
         raise NotStable(f"target solve needs a stable measure, got {verdict.kind.value}")
     z, w = nu.coeff_matrix(), nu.weights
     g = _start_element(nu, start)
-    return _solve(z, w, _target_iterates(z, w, g, rho), tol, max_iter, _target_stop)
+    k = nu.dim + 1
+    basis = np.array(traceless_hermitian_basis(k))
+    iterates = _target_iterates(z, w, g, rho - np.eye(k) / k, basis)
+    return _solve(z, w, iterates, tol, max_iter, _target_stop)
 
 
 # ---------------------------------------------------------------------------
@@ -553,23 +559,46 @@ def _check_torus_target(w, support, p_target):
         )
 
 
+def _torus_directions(support: np.ndarray) -> np.ndarray:
+    """The Helmert vectors of each component of the support graph, as an
+    orthonormal (K, k, k) stack of the diagonals summing to zero on each.
+
+    Coordinates are joined when one atom touches both, and one that no atom
+    touches is a component of its own.  Each atom's moved row is constant
+    along a component's indicator, and on these directions the Gram
+    operator is positive definite."""
+    k = support.shape[1]
+    linked = support.T @ support | np.eye(k, dtype=bool)
+    closed = linked @ linked
+    while (closed != linked).any():  # transitive closure: each row is its component
+        linked, closed = closed, closed @ closed
+    directions = []
+    for first in np.flatnonzero(linked.argmax(axis=1) == np.arange(k)):  # first coordinate of a component
+        idx = np.flatnonzero(linked[first])
+        for j in range(1, idx.size):
+            d = np.zeros(k)
+            d[idx[:j]], d[idx[j]] = 1.0, -j
+            directions.append(np.diag(d / np.sqrt(j * (j + 1.0))))
+    return np.array(directions, dtype=complex).reshape(-1, k, k)
+
+
 def torus_solve(
     nu: AtomicMeasure,
     beta,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_NEWTON_MAX_ITER,
 ) -> TorusSolveResult:
-    """Find theta (sum zero) with diag-momentum target beta.
+    """Find theta with diag-momentum target beta: diag F(diag(e^theta).nu) = beta.
 
-    Minimizes Psi(nu, diag(e^theta)) - <p, theta>, p = beta + 1/(n+1), read
-    as Psi + max theta at g = diag(e^(theta - max theta)) (entries at most 1),
-    by damped Newton.  The objective is constant along theta + t 1, so each
-    step is solved with theta's last coordinate held at 0, then recentred to
-    sum zero; the residual is diag F(g.nu) - beta, and a trial point at which
-    an atom's moved row underflows is skipped.  The target must lie strictly
-    inside the reachable polytope: min p above TORUS_LP_FLOOR on full
-    support, an LP on a partial one.  MaxIterations is raised when the cap is
-    hit, as happens for targets approaching the boundary.
+    The momentum of the diagonal torus is diag F, so this is the target
+    solve's Newton iteration from g = Id on the diagonal directions that
+    move the measure (``_torus_directions``), with the residual
+    ||diag F - beta||, and theta = log |diag g|.  So theta has mean zero on
+    each component of the support graph, which makes it unique.  The
+    target must lie strictly inside the reachable polytope:
+    min p above TORUS_LP_FLOOR on full support, an LP on a partial one.
+    MaxIterations is raised when the cap is hit, as happens for targets
+    approaching the boundary, or when no step makes progress.
     """
     check_max_iter(max_iter)
     check_tol("tol", tol)
@@ -582,59 +611,21 @@ def torus_solve(
     if abs(beta.sum()) > TORUS_BETA_SUM_TOL:
         raise InvalidInput("beta components must sum to zero")
     beta = beta - beta.sum() / k
-    p_target = beta + 1.0 / k
-    z = nu.coeff_matrix()
-    w = nu.weights
-    _check_torus_target(w, np.abs(z) > COMPONENT_TOL, p_target)
-    theta = np.zeros(k)
-
-    def state(th):  # at g = diag(e^(theta - max theta)), which cannot overflow
-        top = float(th.max())
-        moved, sq, _, mom, _, energy = moved_state(z, w, np.diag(np.exp(th - top)))
-        p = (moved.real**2 + moved.imag**2) / sq[:, None]  # |u_ij|^2
-        resvec = mom.diagonal().real - beta
-        return p, resvec, float(np.linalg.norm(resvec)), energy + top - float(p_target @ th)
-
-    p, resvec, residual, objective = state(theta)
-    for it in range(max_iter + 1):
-        if residual <= tol:
-            return TorusSolveResult(
-                theta=theta, residual=residual, iterations=it, converged=True
-            )
-        if it == max_iter:
-            break
-        # the Hessian kills 1 and the residual sums to zero: ground theta's last coordinate
-        hess = 2.0 * (np.diag(w @ p) - p.T @ (w[:, None] * p))[:-1, :-1]
-        hess = hess + np.eye(k - 1) * TORUS_HESSIAN_RIDGE * max(1.0, float(np.abs(hess).max()))
-        try:
-            step_dir = np.linalg.solve(hess, -resvec[:-1])
-        except np.linalg.LinAlgError:
-            step_dir, *_ = np.linalg.lstsq(hess, -resvec[:-1], rcond=None)
-        step_dir = np.append(step_dir, 0.0)
-        step_dir -= step_dir.mean()
-        slope = float(resvec @ step_dir)
-        if slope >= 0.0:  # fall back to plain gradient descent direction
-            step_dir = -(resvec - resvec.mean())
-            slope = float(resvec @ step_dir)
-
-        def trial(step):
-            theta_try = theta + step * step_dir
-            theta_try = theta_try - theta_try.mean()
-            try:
-                out = state(theta_try)
-            except NumericalDegeneracy:  # an atom's moved row underflowed
-                return None
-            return (theta_try, out), out[3], out[2]
-
-        found = _line_search(trial, objective, residual, -slope)
-        if found is None:
-            break
-        theta, (p, resvec, residual, objective) = found
-    why = "iteration cap" if it == max_iter else "flat step: no step made progress"
+    z, w = nu.coeff_matrix(), nu.weights
+    support = np.abs(z) > COMPONENT_TOL
+    _check_torus_target(w, support, beta + 1.0 / k)
+    iterates = _target_iterates(z, w, np.eye(k, dtype=complex), beta, _torus_directions(support))
+    res = _solve(z, w, iterates, tol, max_iter, _target_stop)
+    theta = np.log(np.abs(res.g.g.diagonal()))
+    if res.verdict == VERDICT_CONVERGED:
+        return TorusSolveResult(
+            theta=theta, residual=res.residual, iterations=res.iterations, converged=True
+        )
+    why = "iteration cap" if res.iterations == max_iter else "flat step: no step made progress"
     raise MaxIterations(
-        f"torus solve residual {residual:.3e} at iteration {it} ({why})",
+        f"torus solve residual {res.residual:.3e} at iteration {res.iterations} ({why})",
         theta=theta,
-        residual=residual,
+        residual=res.residual,
     )
 
 

@@ -107,21 +107,24 @@ def _load_sphere(path: str) -> SphereMeasure:
 
 def _load_matrix(path: str, key: str, what: str) -> np.ndarray:
     """The complex matrix under ``key`` of a JSON file: rows of [re, im] pairs."""
-    data = parse_json(_read_text(path))
-    if not isinstance(data, dict):
-        raise InvalidInput(f"{path}: expected a JSON object")
-    if key not in data:
-        raise InvalidInput(f'{path}: {what} document needs key "{key}"')
-    rows = data[key]
-    if not isinstance(rows, list) or not rows:
-        raise InvalidInput("expected a non-empty list of matrix rows")
-    for row in rows:
-        if not isinstance(row, list) or not row:
-            raise InvalidInput("matrix rows must be non-empty lists")
-        if len(row) != len(rows[0]):
-            raise InvalidInput("matrix rows have inconsistent lengths")
-    pairs = read_numbers(rows, (len(rows), len(rows[0]), 2), key + "[{}]")
-    return pairs.view(complex)[..., 0]
+
+    def read(data):
+        if not isinstance(data, dict):
+            raise InvalidInput(f"{path}: expected a JSON object")
+        if key not in data:
+            raise InvalidInput(f'{path}: {what} document needs key "{key}"')
+        rows = data[key]
+        if not isinstance(rows, list) or not rows:
+            raise InvalidInput("expected a non-empty list of matrix rows")
+        for row in rows:
+            if not isinstance(row, list) or not row:
+                raise InvalidInput("matrix rows must be non-empty lists")
+            if len(row) != len(rows[0]):
+                raise InvalidInput("matrix rows have inconsistent lengths")
+        pairs = read_numbers(rows, (len(rows), len(rows[0]), 2), key + "[{}]")
+        return pairs.view(complex)[..., 0]
+
+    return parse_json(_read_text(path), read)
 
 
 def _basis_vectors(basis: np.ndarray) -> list:

@@ -126,7 +126,7 @@ class AtomicMeasure:
 
     @classmethod
     def from_json(cls, text: str) -> "AtomicMeasure":
-        return cls.from_json_dict(parse_json(text))
+        return parse_json(text, cls.from_json_dict)
 
 
 def checked_weights(weights, count: int) -> np.ndarray:
@@ -189,14 +189,16 @@ def moved_state(z: np.ndarray, w: np.ndarray, g: np.ndarray, beta=None):
 
     Returns the moved rows g z_i, their squared norms, the moved scatter
     R = sum_i w_i u_i u_i* of the unit moved rows u_i, the momentum
-    F(g.nu) = R - Id/(n+1), the residual ||F - beta|| (beta = 0 when None)
-    and the Kempf-Ness energy Psi(nu, g).
+    F(g.nu) = R - Id/(n+1), the residual ||F - beta|| (beta = 0 when None;
+    a vector beta is a target of the diagonal torus, whose momentum is
+    diag F) and the Kempf-Ness energy Psi(nu, g).
     """
     k = z.shape[1]
     moved, sq = move_rows(g, z)
     scatter = moved.T @ (moved.conj() * (w / sq)[:, None])
     mom = scatter - np.eye(k) / k
-    residual = float(np.linalg.norm(mom if beta is None else mom - beta))
+    dev = mom if beta is None else (mom.diagonal().real if beta.ndim == 1 else mom) - beta
+    residual = float(np.linalg.norm(dev))
     energy = 0.5 * float(w @ np.log(sq))
     return moved, sq, scatter, mom, residual, energy
 

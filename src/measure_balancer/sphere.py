@@ -88,7 +88,7 @@ class SphereMeasure:
 
     @classmethod
     def from_json(cls, text: str) -> "SphereMeasure":
-        return cls.from_json_dict(parse_json(text))
+        return parse_json(text, cls.from_json_dict)
 
 
 def sphere_rows_to_projective(x: np.ndarray) -> np.ndarray:

@@ -79,17 +79,19 @@ def canonical_json(obj, indent: int = 0) -> str:
 _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
-def parse_json(text: str):
-    """The one JSON parser of the package: a syntax error is an input error.
+def parse_json(text: str, read):
+    """``read`` of the parse tree of ``text``: the one JSON parser of the package.
 
-    So is nesting too deep for the parser's recursion.  The cyclic GC is
-    paused for the parse (and left as it was found): a parse tree has no
-    cycles, so a collection during it walks the tree and frees nothing.
+    A syntax error is an input error, and so is nesting too deep for the
+    parser's recursion.  The cyclic GC is paused (and left as it was found)
+    for the tree's whole life, until ``read`` has returned and the tree is
+    released: a parse tree has no cycles, so a collection while it lives
+    walks the tree and frees nothing.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text)
+        return read(json.loads(text))  # the tree is released as read returns
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInput(f"invalid JSON: {exc}") from exc
     finally:

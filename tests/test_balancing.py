@@ -587,15 +587,6 @@ def test_a_target_solve_from_an_ill_conditioned_start_converges(seed):
     assert direct_momentum_residual(res.g, nu) <= 10 * balancing.DEFAULT_TOL
 
 
-def test_a_failed_gram_solve_raises_singular_gram(monkeypatch):
-    def failing_solve(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", failing_solve)
-    with pytest.raises(SingularGram, match="^Gram operator solve failed$"):
-        solve_target(stable_measure(rng(0), 2), np.eye(3) / 3)
-
-
 def test_solve_target_requires_stability():
     with pytest.raises(NotStable):
         solve_target(measure_on([[1.0, 0.0], [0.0, 1.0]], [0.9, 0.1]), np.eye(2) / 2)
@@ -796,31 +787,78 @@ def torus_case(rows, weights, beta):
     return nu, np.array(beta)
 
 
-@pytest.mark.parametrize("case", TORUS_CASES, ids=["n1", "n2"])
-def test_a_failed_torus_newton_solve_falls_back_to_least_squares(case, monkeypatch):
-    nu, beta = torus_case(*case)
-    want = torus_solve(nu, beta)
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_target(stable_measure(rng(0), 2), np.eye(3) / 3),
+        lambda: torus_solve(*torus_case(*TORUS_CASES[0])),
+        lambda: torus_solve(*torus_case(*TORUS_CASES[1])),
+    ],
+    ids=["solve_target", "torus-n1", "torus-n2"],
+)
+def test_a_failed_gram_solve_raises_singular_gram(solve, monkeypatch):
+    # The torus solve is the target step on the diagonal directions: one Gram solve, one refusal.
+    def failing_solve(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", failing)
-    got = torus_solve(nu, beta)
-    assert got.converged and got.iterations == want.iterations
-    assert np.allclose(got.theta, want.theta, atol=1e-9)
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    with pytest.raises(SingularGram, match="^Gram operator solve failed$"):
+        solve()
 
 
 @pytest.mark.parametrize("case", TORUS_CASES, ids=["n1", "n2"])
 def test_a_torus_ascent_direction_falls_back_to_the_gradient(case, monkeypatch):
-    # Every Newton direction is turned into an ascent direction; the gradient
-    # steps alone still reach the target, in more iterations.
+    # Every Newton direction is turned into an ascent direction, so the
+    # Newton step fails (bar a rare step within rounding of the target) and
+    # the steepest step on the squared residual moves the iterate; those
+    # steps still reach the target.  On the one diagonal direction of n = 1
+    # the steepest step at Newton's rate is the Newton step itself, so only
+    # n = 2 needs more iterations.
     nu, beta = torus_case(*case)
     want = torus_solve(nu, beta)
+    found = []
+    step = balancing._geodesic_step
+    monkeypatch.setattr(balancing, "_geodesic_step", lambda *a: found.append(step(*a)) or found[-1])
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: -solve(a, b))
     got = torus_solve(nu, beta)
-    assert got.converged and got.iterations > want.iterations
+    assert got.converged
+    moved = [f is not None for f in found]
+    assert sum(moved) == got.iterations and moved[:2] == [False, True]
+    assert moved.count(False) >= 0.9 * got.iterations
+    if len(beta) == 2:
+        assert got.iterations == want.iterations
+    else:
+        assert got.iterations > want.iterations
     assert np.allclose(got.theta, want.theta, atol=1e-8)
+
+
+def test_a_torus_theta_has_mean_zero_on_every_component_of_the_support_graph():
+    # Components {0, 1} and {2, 3}, and coordinate 4, which no atom touches:
+    # the residual is flat along each indicator, so theta is printed
+    # orthogonal to all three.
+    rows = [[1, 1, 0, 0, 0], [1, 2j, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 2, -1, 0]]
+    nu = measure_on(rows, [0.25] * 4)
+    p_target = np.array([0.2, 0.3, 0.35, 0.15, 0.0])
+    res = torus_solve(nu, p_target - 0.2)
+    assert res.converged and res.residual <= balancing.DEFAULT_TOL
+    indicators = np.array([[1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]])
+    assert np.abs(indicators @ res.theta).max() <= 1e-12
+    assert np.abs(res.theta).max() > 0.05  # a solve that moved
+    assert np.allclose(torus_gradient(nu, res.theta), p_target, atol=1e-10)
+
+
+def test_the_torus_directions_are_orthonormal_and_sum_to_zero_on_each_component():
+    support = np.array([[1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 0]], dtype=bool)
+    dirs = balancing._torus_directions(support)
+    assert dirs.shape == (2, 5, 5)  # k = 5 minus components {0, 1}, {2, 3}, {4}
+    diag = dirs.diagonal(axis1=1, axis2=2).real
+    assert np.array_equal(dirs, np.array([np.diag(d) for d in diag]))
+    assert np.allclose(diag @ diag.T, np.eye(2), atol=1e-15)
+    assert np.abs(diag @ np.array([[1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]]).T).max() <= 1e-15
+    for k in range(2, 7):  # one component: the diagonal elements of the traceless basis
+        full = balancing._torus_directions(np.ones((1, k), dtype=bool))
+        assert np.allclose(full, traceless_hermitian_basis(k)[k * (k - 1) :], atol=1e-15)
 
 
 def test_torus_solve_is_deterministic():

@@ -4,7 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from measure_balancer import AtomicMeasure
 
 from helpers import gaussian_integer_measure, near_cutoff_cloud, near_hyperplane_cloud, rng
 
@@ -32,7 +35,10 @@ def test_the_summary_counts_changes_and_gives_each_side_its_sums_and_maxima():
     assert descent_iters.summary(rows) == {
         "inputs": 4,
         "more_iterations": 1,  # only the second input needs more here
+        "iterations_differ": 3,
+        "largest_iteration_change": 4,
         "verdicts_differ": 2,
+        "theta_max_difference": None,  # no row has theta
         "this_iterations": 25,
         "this_max_iterations": 12,
         "this_ms": 2.8,
@@ -40,6 +46,18 @@ def test_the_summary_counts_changes_and_gives_each_side_its_sums_and_maxima():
         "other_max_iterations": 10,
         "other_ms": 3.325,
     }
+
+
+def test_the_summary_gives_the_largest_iteration_change_with_its_sign_and_the_largest_theta_difference():
+    rows = [
+        row(dict(side(4), theta=[0.5, -0.5]), dict(side(9), theta=[0.25, -0.25])),
+        row(dict(side(6), theta=[0.0, 0.0]), dict(side(5), theta=[1e-9, -1e-9])),
+        row(side(0, "exit-22"), side(0, "exit-22")),
+    ]
+    out = descent_iters.summary(rows)
+    assert (out["more_iterations"], out["iterations_differ"], out["largest_iteration_change"]) == (1, 2, -5)
+    assert out["theta_max_difference"] == 0.25
+    assert out["verdicts_differ"] == 0
 
 
 def test_equal_rows_change_nothing():
@@ -134,3 +152,44 @@ def test_the_other_groups_keep_their_inputs():
     r = rng(3)
     assert descent_iters.sweep_case(3)[2].to_json() == near_hyperplane_cloud(r, 1, 10.0 ** r.uniform(-9, -6)).to_json()
     assert descent_iters.sweep_case(12)[2].to_json() == gaussian_integer_measure(rng(12), 1, 6).to_json()
+
+
+def test_a_torus_theta_is_compared_after_the_gauge_rule(monkeypatch, capsys, other):
+    # Coordinates 0 and 1 form one component of the support graph and 2 is
+    # untouched: the other side's theta differs by a constant on each.
+    nu = AtomicMeasure(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]), np.array([0.5, 0.5]))
+    cases = [("torus", "torus/partial/n2/m2/s0", nu.to_json(), "torus", "[0.1, 0.2, -0.3]")]
+    ours = dict(side(3), theta=[0.25, -0.25, 0.0])
+    theirs = dict(side(3), theta=[1.25, 0.75, -2.0])
+    monkeypatch.setattr(descent_iters, "cases", lambda: cases)
+    monkeypatch.setattr(
+        descent_iters, "run_checkout", lambda c, i, w: [dict(ours if c == descent_iters.ROOT else theirs)]
+    )
+    assert descent_iters.main([str(other)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["groups"]["torus/torus"]["theta_max_difference"] <= 1e-15
+    assert report["inputs"][0]["other"]["theta"] == pytest.approx([0.25, -0.25, 0.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_the_torus_group_draws_its_sizes_supports_and_targets_from_i(i):
+    group, label, nu, beta = descent_iters.torus_case(i)
+    n, m = 1 + i % 5, 2 + (i // 5) % 7
+    kind = "partial" if i % 2 else "full"
+    assert (group, label) == ("torus", f"torus/{kind}/n{n}/m{m}/s{i}")
+    assert (nu.dim, beta.shape) == (n, (n + 1,))
+    assert nu.atom_count == m if i % 2 == 0 else nu.atom_count <= m  # atoms on one axis merge
+    support = np.abs(nu.coeff_matrix()) > 1e-12
+    assert support.any(axis=1).all() and support.all() == (i % 2 == 0)
+    assert not support[:, -1].any() if i % 4 == 3 else True
+    assert abs(beta.sum()) <= 1e-12
+    same = descent_iters.torus_case(i)
+    assert nu.to_json() == same[2].to_json() and np.array_equal(beta, same[3])
+
+
+def test_the_cases_end_with_the_torus_group():
+    torus = [c for c in descent_iters.cases() if c[3] == "torus"]
+    assert len(torus) == descent_iters.TORUS_END
+    group, label, doc, _, target = torus[5]
+    assert (group, label) == descent_iters.torus_case(5)[:2]
+    assert json.loads(target) == descent_iters.torus_case(5)[3].tolist()

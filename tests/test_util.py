@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from measure_balancer import AtomicMeasure, InvalidInput, SphereMeasure
+from measure_balancer import AtomicMeasure, InvalidInput, SphereMeasure, cli, measures, sphere
 from measure_balancer.cli import _basis_vectors
 from measure_balancer.util import canonical_json, fmt_float, parse_json, read_numbers, to_pairs
 
@@ -224,25 +224,59 @@ def test_a_fault_in_the_last_atom_walks_that_atom_alone(bulk_text):
     assert walks and walks[0] < 1000  # the walk of one atom: 1 + (n + 1) + 2 (n + 1) at most
 
 
+MEASURE_TEXT = '{"n": 1, "atoms": [{"z": [[1, 0], [0, 0]], "w": 0.5}, {"z": [[0, 0], [1, 0]], "w": 0.5}]}'
+
+
+def recording(seen, name, fn):
+    """fn, recording (name, whether the cyclic GC is on) at each call."""
+
+    def recorded(*args):
+        seen.append((name, gc.isenabled()))
+        return fn(*args)
+
+    return recorded
+
+
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("text", ['{"n": 1}', "not json {"], ids=["valid", "invalid"])
+@pytest.mark.parametrize(
+    "text", ['{"n": 1}', "not json {", MEASURE_TEXT], ids=["valid", "invalid", "measure"]
+)
 def test_parse_json_pauses_the_cyclic_gc_and_leaves_it_as_it_found_it(enabled, text, monkeypatch):
+    # The pause covers the reader too: read_numbers runs with the GC paused.
     seen = []
-    loads = json.loads
-
-    def recording_loads(s):
-        seen.append(gc.isenabled())
-        return loads(s)
-
-    monkeypatch.setattr(json, "loads", recording_loads)
+    monkeypatch.setattr(json, "loads", recording(seen, "loads", json.loads))
+    monkeypatch.setattr(measures, "read_numbers", recording(seen, "read_numbers", measures.read_numbers))
     was = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
         try:
-            parse_json(text)
+            nu = parse_json(text, AtomicMeasure.from_json_dict)
+            assert nu.atom_count == 2
         except InvalidInput:
-            assert text.startswith("not json")
+            assert text != MEASURE_TEXT
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
-    assert seen == [False]
+    reads = 2 if text == MEASURE_TEXT else 0
+    assert seen == [("loads", False)] + [("read_numbers", False)] * reads
+
+
+@pytest.mark.parametrize("reader", ["measure", "sphere", "matrix"])
+def test_every_document_reader_reads_its_numbers_with_the_gc_paused(reader, tmp_path, monkeypatch):
+    module, text, read = {
+        "measure": (measures, MEASURE_TEXT, AtomicMeasure.from_json),
+        "sphere": (sphere, '{"atoms": [{"x": [0, 0, 1], "w": 1}]}', SphereMeasure.from_json),
+        "matrix": (cli, '{"rho": [[[1, 0]]]}', lambda t: cli._load_matrix(write(tmp_path, t), "rho", "target")),
+    }[reader]
+    seen = []
+    monkeypatch.setattr(module, "read_numbers", recording(seen, "read_numbers", module.read_numbers))
+    assert gc.isenabled()
+    read(text)
+    assert gc.isenabled()
+    assert seen and set(seen) == {("read_numbers", False)}
+
+
+def write(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)

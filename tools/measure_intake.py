@@ -7,7 +7,10 @@ Takes the ``balance`` ops of the ``balance-large`` workload (seed 1) and
 times, in-process and one stage at a time, what ``measure_balancer.cli``
 does for each:
 
-- ``parse_json``: ``util.parse_json`` of the file's text;
+- ``parse_json``: ``util.parse_json`` of the file's text, returning the
+  parse tree (where ``parse_json`` takes the tree's reader, the identity:
+  the CLI runs ``read_numbers`` inside that call, under its pause of the
+  cyclic GC, and this stage split runs it after, with the collector on);
 - ``read_numbers``: ``util.read_numbers`` of the atoms' ``z`` pairs and of
   their weights;
 - ``construct``: ``AtomicMeasure`` of those arrays (canonical rows and the
@@ -50,7 +53,7 @@ MERGE_CLOUDS = ((10**4, 1), (3 * 10**4, 1), (3 * 10**4, 10))  # (m, n)
 
 # Run in a fresh interpreter: argv is (checkout, inputs file, out file, repeats, clouds).
 _WORKER = """
-import contextlib, hashlib, io, json, sys, time
+import contextlib, hashlib, inspect, io, json, sys, time
 checkout, in_path, out_path, repeats = sys.argv[1:5]
 sys.path.insert(0, checkout + "/src")
 # The package caps BLAS threads only if it is imported before numpy.
@@ -60,6 +63,11 @@ from measure_balancer.geometry import canonical_rows
 from measure_balancer.measures import _merge_atoms
 from measure_balancer.util import parse_json, read_numbers
 import numpy as np
+
+def tree(text):
+    if len(inspect.signature(parse_json).parameters) == 1:
+        return parse_json(text)
+    return parse_json(text, lambda data: data)
 
 def timed(times, stage, fn, *args):
     t0 = time.perf_counter()
@@ -88,7 +96,7 @@ for case in cases:
         text = fh.read()
     times = {}
     for _ in range(int(repeats)):
-        data = timed(times, "parse_json", parse_json, text)
+        data = timed(times, "parse_json", tree, text)
         z, w = timed(times, "read_numbers", read_both, data["atoms"], data["n"] + 1)
         nu = timed(times, "construct", AtomicMeasure, z.view(complex)[..., 0], w)
         res = timed(times, "balance", balance_op, nu, case["method"])
