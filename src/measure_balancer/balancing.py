@@ -25,7 +25,9 @@ balance reports the Hermitian positive polar factor of its last g.
 For an interior target state rho (positive definite, trace 1) the equation
 F(g.nu) = rho - Id/(n+1) is solved by Newton steps on the direction
 coefficients, using the Gram operator of the momentum derivative.  Descent
-and Newton take one geodesic step, capped in cond(g) by COND_LIMIT^(1/2); when
+and Newton take one geodesic step, ``_geodesic_step``: capped in cond(g) by
+COND_LIMIT^(1/2), one eigendecomposition of its direction, and one Armijo
+backtracking loop on what the caller reads off each moved state.  When
 Newton's finds none, a steepest-descent step on the squared residual is
 tried.  Newton needs a stable measure, where no span carries its share, so
 it stops only converged or at the cap.  Each solve only yields its
@@ -58,7 +60,6 @@ from .geometry import (
     HERMITIAN_TOL,
     GroupElement,
     SpectralDirection,
-    herm_exp,
     nested_span_distances,
     span_basis,
     span_rank,
@@ -220,30 +221,6 @@ def _tyler_iterates(z, w, g):
         state = moved_state(z, w, g)
 
 
-def _line_search(trial, objective: float, residual: float, slope: float):
-    """The point of the first accepted step of 1, 1/2, ... down to MIN_STEP.
-
-    ``trial(step)`` gives (point, objective, residual), or None when the trial
-    point cannot be evaluated; ``slope`` is the objective's rate of decrease.
-    A step needs the Armijo decrease ARMIJO_C * step * slope while that is
-    above the objective's resolution, and below it (near the minimum) a lower
-    residual, which stays resolvable down to the stopping tolerance.  None
-    when no step makes progress.
-    """
-    resolution = OBJECTIVE_RESOLUTION * max(1.0, abs(objective))
-    step = 1.0
-    while step >= MIN_STEP:
-        out = trial(step)
-        if out is not None:
-            point, objective_try, residual_try = out
-            needed = ARMIJO_C * step * slope
-            resolved = needed > resolution
-            if objective_try <= objective - needed if resolved else residual_try < residual:
-                return point
-        step /= 2.0
-    return None
-
-
 def _step_scale(mom: np.ndarray, last) -> float:
     """The scale of the next descent step: the Barzilai-Borwein ratio.
 
@@ -263,30 +240,42 @@ def _step_scale(mom: np.ndarray, last) -> float:
     return scale
 
 
-def _geodesic_step(z, w, g, x, c, state, objective, beta=None):
-    """The step g <- exp(s c x) g of descent and Newton, s = 1, 1/2, ...
+def _geodesic_step(z, w, g, x, c, state, measure):
+    """The step g <- exp(s c x) g of descent and Newton, s = 1, 1/2, ..., MIN_STEP.
 
     |c| is capped so that a full step takes cond(g) up by at most
-    COND_LIMIT^(1/2).  A step must lower ``objective`` of the moved state
-    (``state`` is the one at g) at the rate |c| residual^2.  Returns the
-    accepted g, its moved state and s |c|, or None when no step is found.
+    COND_LIMIT^(1/2), and c x = V diag(l) V* is decomposed once: s is a power
+    of two, so each trial's V diag(e^(s l)) V* is exp(s c x) to the bit.  A
+    trial must lower the objective of ``measure(state) -> (objective,
+    residual)`` by ARMIJO_C s |c| residual^2 while that is above the
+    objective's resolution, and below it (near the minimum) the residual,
+    which stays resolvable down to the stopping tolerance; ``state`` is the
+    moved state at g, and a trial that overflows or annihilates an atom
+    fails.  Returns the accepted g, its moved state and s |c|, or None.
     """
     vals = np.linalg.eigvalsh(x)
     spread = float(vals[-1] - vals[0])
     half_log_cond = 0.5 * np.log(COND_LIMIT)
     if abs(c) * spread > half_log_cond:
         c = np.copysign(half_log_cond / spread, c)
-
-    def trial(step):
+    vals, vecs = np.linalg.eigh(c * x)
+    objective, residual = measure(state)
+    slope = abs(c) * residual * residual
+    resolution = OBJECTIVE_RESOLUTION * max(1.0, abs(objective))
+    step = 1.0
+    while step >= MIN_STEP:
         try:
-            g_try = GroupElement(herm_exp(step * c * x) @ g).g
-            out = moved_state(z, w, g_try, beta)
+            g_try = GroupElement(((vecs * np.exp(step * vals)) @ vecs.conj().T) @ g).g
+            out = moved_state(z, w, g_try)
         except (InvalidInput, NumericalDegeneracy):  # overflowed or singular
-            return None
-        return (g_try, out, step * abs(c)), objective(out), out[4]
-
-    residual = state[4]
-    return _line_search(trial, objective(state), residual, abs(c) * residual * residual)
+            pass
+        else:
+            objective_try, residual_try = measure(out)
+            needed = ARMIJO_C * step * slope
+            if objective_try <= objective - needed if needed > resolution else residual_try < residual:
+                return g_try, out, step * abs(c)
+        step /= 2.0
+    return None
 
 
 def _descent_iterates(z, w, g):
@@ -298,7 +287,7 @@ def _descent_iterates(z, w, g):
         mom, residual, energy = state[3:]
         yield g, residual, energy
         # -d/ds Psi along -scale F is scale * residual^2
-        found = _geodesic_step(z, w, g, mom, -_step_scale(mom, last), state, lambda st: st[5])
+        found = _geodesic_step(z, w, g, mom, -_step_scale(mom, last), state, lambda st: (st[5], st[4]))
         if found is None:  # flat to machine precision; cannot make progress
             return
         g, state, t = found
@@ -429,18 +418,21 @@ def _target_iterates(z, w, g, beta, basis):
     iterate, until neither the Newton step nor the steepest step on the
     squared residual is found; SingularGram when the Gram solve fails.
 
-    ``beta`` is a traceless k x k target, or, for the diagonal directions,
-    the diagonal of one: the momentum of the diagonal torus is diag F, and
-    its residual ||diag F - beta|| (``moved_state``).
+    ``beta`` is a traceless k x k target, with the residual ||F - beta||,
+    or, for the diagonal directions, the diagonal of one: the momentum of
+    the diagonal torus is diag F, and its residual ||diag F - beta||.
     """
-    target = np.diag(beta) if beta.ndim == 1 else beta
-    state = moved_state(z, w, g, beta)
+    torus = beta.ndim == 1
+    target = np.diag(beta) if torus else beta
 
-    def squared(st):  # Newton's objective: its rate of decrease is residual^2
-        return st[4] * st[4]
+    def measure(st):  # (residual^2, residual): Newton's objective falls at the rate residual^2
+        residual = float(np.linalg.norm((st[3].diagonal().real if torus else st[3]) - beta))
+        return residual * residual, residual
 
+    state = moved_state(z, w, g)
     while True:
-        moved, sq, _, mom, residual, energy = state
+        moved, sq, _, mom, _, energy = state
+        residual = measure(state)[1]
         yield g, residual, energy
         gram = _gram_from_arrays(moved / np.sqrt(sq)[:, None], w, basis)
         rhs = np.einsum("ab,jba->j", target - mom, basis).real  # tr((beta - F) A_j)
@@ -449,13 +441,13 @@ def _target_iterates(z, w, g, beta, basis):
         except np.linalg.LinAlgError as exc:
             raise SingularGram("Gram operator solve failed") from exc
         direction = np.tensordot(coeffs, basis, axes=1)
-        found = _geodesic_step(z, w, g, direction, 1.0, state, squared, beta)
+        found = _geodesic_step(z, w, g, direction, 1.0, state, measure)
         if found is None:  # steepest descent -G r (r = -rhs) at Newton's rate residual^2
             steepest = gram @ rhs
             norm2 = float(steepest @ steepest)
             if norm2 > 0.0:
                 direction = np.tensordot(steepest * (residual * residual / norm2), basis, axes=1)
-                found = _geodesic_step(z, w, g, direction, 1.0, state, squared, beta)
+                found = _geodesic_step(z, w, g, direction, 1.0, state, measure)
         if found is None:
             return
         g, state, _ = found
@@ -647,9 +639,9 @@ def _in_hull(x: np.ndarray, others: np.ndarray) -> bool:
 def polytope_centroid_shift(vertex_images) -> np.ndarray:
     """Average of the distinct vertices of the convex hull of the inputs.
 
-    Used to recenter torus targets: subtracting the shift moves the centroid
-    of the vertex images to the origin.  Raises DegenerateHull when all
-    points coincide.
+    Subtracting the shift moves the centroid of the vertex images to the
+    origin; no solve or subcommand applies it.  Raises DegenerateHull when
+    all points coincide.
     """
     pts = np.asarray(vertex_images, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:

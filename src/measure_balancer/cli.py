@@ -97,6 +97,14 @@ def _read_text(path: str) -> str:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc}") from exc
+
+
 def _load_measure(path: str) -> AtomicMeasure:
     return AtomicMeasure.from_json(_read_text(path))
 
@@ -229,19 +237,19 @@ def cmd_weight(args) -> int:
         writer.writerow(row)
     text = buf.getvalue()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def _write_trace(path: str, trace: list) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "residual", "kempf_ness"])
-        for it, residual, energy in trace:
-            writer.writerow([str(it), fmt_float(residual), fmt_float(energy)])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["iteration", "residual", "kempf_ness"])
+    for it, residual, energy in trace:
+        writer.writerow([str(it), fmt_float(residual), fmt_float(energy)])
+    _write_text(path, buf.getvalue())
 
 
 def _print_balance(result: BalanceResult) -> None:

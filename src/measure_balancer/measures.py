@@ -184,21 +184,19 @@ def _key_windows(key):
     return order, lo, np.searchsorted(ordered, ordered + MERGE_WINDOW, side="right")
 
 
-def moved_state(z: np.ndarray, w: np.ndarray, g: np.ndarray, beta=None):
+def moved_state(z: np.ndarray, w: np.ndarray, g: np.ndarray):
     """The one evaluation of g.nu from unit atom rows z and weights w.
 
     Returns the moved rows g z_i, their squared norms, the moved scatter
     R = sum_i w_i u_i u_i* of the unit moved rows u_i, the momentum
-    F(g.nu) = R - Id/(n+1), the residual ||F - beta|| (beta = 0 when None;
-    a vector beta is a target of the diagonal torus, whose momentum is
-    diag F) and the Kempf-Ness energy Psi(nu, g).
+    F(g.nu) = R - Id/(n+1), its norm ||F|| and the Kempf-Ness energy
+    Psi(nu, g).
     """
     k = z.shape[1]
     moved, sq = move_rows(g, z)
     scatter = moved.T @ (moved.conj() * (w / sq)[:, None])
     mom = scatter - np.eye(k) / k
-    dev = mom if beta is None else (mom.diagonal().real if beta.ndim == 1 else mom) - beta
-    residual = float(np.linalg.norm(dev))
+    residual = float(np.linalg.norm(mom))
     energy = 0.5 * float(w @ np.log(sq))
     return moved, sq, scatter, mom, residual, energy
 

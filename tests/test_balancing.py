@@ -246,13 +246,38 @@ def test_descent_energy_is_monotone_nonincreasing():
 def test_descent_detects_divergence():
     nu = measure_on([[1.0, 0.0], [0.0, 1.0]], [0.9, 0.1])
     # The step scale is capped by COND_LIMIT: uncapped, a Barzilai-Borwein
-    # step on these two atoms overflows herm_exp and descent stalls.
+    # step on these two atoms overflows exp(s c x) and descent stalls.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = balance(nu, method="geodesic-descent")
     assert res.verdict == VERDICT_DIVERGED
     assert res.certificate is not None
     assert res.certificate.mass == pytest.approx(0.9, abs=1e-6)
+
+
+def count_states(monkeypatch):
+    """Moved states evaluated outside (``states``) and inside (``trials``) a
+    geodesic step, the ``steps`` and the set of evaluated ``points``, from now on."""
+    calls = {"states": 0, "trials": 0, "steps": 0, "points": set()}
+    moved_state, geodesic_step = balancing.moved_state, balancing._geodesic_step
+    stepping = []
+
+    def counted_state(z, w, g):
+        calls["trials" if stepping else "states"] += 1
+        calls["points"].add(g.tobytes())
+        return moved_state(z, w, g)
+
+    def counted_step(*args):
+        calls["steps"] += 1
+        stepping.append(1)
+        try:
+            return geodesic_step(*args)
+        finally:
+            stepping.pop()
+
+    monkeypatch.setattr(balancing, "moved_state", counted_state)
+    monkeypatch.setattr(balancing, "_geodesic_step", counted_step)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -262,24 +287,7 @@ def test_descent_evaluates_each_accepted_iterate_once(case, monkeypatch):
     # The state of an accepted trial point is the next iterate's state, also
     # when the trial renormalized det g (frequent as g degenerates), so the
     # only other evaluation is the start; no point is evaluated twice.
-    calls = {"states": 0, "trials": 0}
-    points = set()
-    moved_state, line_search = balancing.moved_state, balancing._line_search
-
-    def counted_state(z, w, g, *args):
-        calls["states"] += 1
-        points.add(g.tobytes())
-        return moved_state(z, w, g, *args)
-
-    def counted_search(trial, *args):
-        def counted_trial(step):
-            calls["trials"] += 1
-            return trial(step)
-
-        return line_search(counted_trial, *args)
-
-    monkeypatch.setattr(balancing, "moved_state", counted_state)
-    monkeypatch.setattr(balancing, "_line_search", counted_search)
+    calls = count_states(monkeypatch)
     if case == "diverging":
         nu, *_ = unstable_measure(rng(6), 2)
         res = balance(nu, method="geodesic-descent")
@@ -287,9 +295,9 @@ def test_descent_evaluates_each_accepted_iterate_once(case, monkeypatch):
     else:
         res = balance(stable_measure(rng(case[0]), case[1]), method="geodesic-descent")
         assert res.verdict == VERDICT_CONVERGED
-    assert calls["trials"] >= res.iterations > 0
-    assert calls["states"] == calls["trials"] + 1
-    assert len(points) == calls["states"]
+    assert calls["trials"] >= calls["steps"] >= res.iterations > 0
+    assert calls["states"] == 1
+    assert len(calls["points"]) == calls["states"] + calls["trials"]
 
 
 def count_linalg(monkeypatch, *names):
@@ -351,10 +359,39 @@ def test_a_descent_step_reads_one_eigvalsh_for_its_cap(kind, monkeypatch):
         return geodesic_step(*args)
 
     monkeypatch.setattr(balancing, "_geodesic_step", counted_step)
-    calls = count_linalg(monkeypatch, "eigvalsh")
+    calls = count_linalg(monkeypatch, "eigvalsh", "eigh")
     res = balance(nu, method="geodesic-descent")
     assert res.verdict == (VERDICT_CONVERGED if kind == "stable" else VERDICT_DIVERGED)
-    assert calls["eigvalsh"] == len(steps) == res.iterations > 0
+    assert calls["eigvalsh"] == calls["eigh"] == len(steps) == res.iterations > 0
+
+
+def test_a_step_halved_down_to_min_step_decomposes_its_direction_once(monkeypatch):
+    # From cond(g* g) = 1e28 the capped Newton step on seed 2 finds no step:
+    # its 41 trials s = 1, 1/2, ..., MIN_STEP all share one eigh of c x, and
+    # the cap reads one eigvalsh of x.
+    calls = count_linalg(monkeypatch, "eigvalsh", "eigh")
+    calls["states"] = 0
+    moved_state, geodesic_step = balancing.moved_state, balancing._geodesic_step
+    failed = []
+
+    def counted_state(*args):
+        calls["states"] += 1
+        return moved_state(*args)
+
+    def counted_step(*args):
+        before = dict(calls)
+        found = geodesic_step(*args)
+        if found is None:
+            failed.append({name: calls[name] - before[name] for name in calls})
+        return found
+
+    monkeypatch.setattr(balancing, "moved_state", counted_state)
+    monkeypatch.setattr(balancing, "_geodesic_step", counted_step)
+    start = GroupElement(np.diag([1e7, 1.0, 1e-7]))
+    res = solve_target(stable_measure(rng(2), 2), np.eye(3) / 3, start=start)
+    assert res.verdict == VERDICT_CONVERGED
+    assert balancing.MIN_STEP == 2.0**-40
+    assert failed == [{"eigvalsh": 1, "eigh": 1, "states": 41}]
 
 
 def test_balance_accepts_custom_start():
@@ -668,14 +705,9 @@ def test_torus_solve_at_zero_tolerance_stops_flat():
 
 
 def test_the_solvers_backtrack_through_one_line_search(monkeypatch):
-    calls = []
-    line_search = balancing._line_search
-
-    def counted(*args):
-        calls.append(args)
-        return line_search(*args)
-
-    monkeypatch.setattr(balancing, "_line_search", counted)
+    # Every moved state past the start is a trial of a geodesic step, and
+    # each iteration takes one step.
+    calls = count_states(monkeypatch)
     nu = measure_on([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1 / 3] * 3)
     solves = (
         lambda: balance(stable_measure(rng(62), 2), method="geodesic-descent"),
@@ -683,9 +715,10 @@ def test_the_solvers_backtrack_through_one_line_search(monkeypatch):
         lambda: torus_solve(nu, np.array([0.1, -0.1])),
     )
     for solve in solves:
-        calls.clear()
+        calls.update(steps=0, states=0, trials=0)
         res = solve()
-        assert res.iterations >= 1 and len(calls) == res.iterations
+        assert res.iterations >= 1 and calls["steps"] == res.iterations
+        assert calls["states"] == 1 and calls["trials"] >= calls["steps"]
 
 
 def test_torus_lp_matches_the_loop_builder():

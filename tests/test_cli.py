@@ -263,6 +263,25 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, stable_file, reader, capsys):
     assert err.startswith(f"error: cannot read {doc}: 'utf-8' codec can't decode byte 0xff")
 
 
+# argv of each writer of an output file, OUT the file it writes
+OUTPUT_WRITERS = {
+    "balance-trace": ["balance", "STABLE", "--trace", "OUT"],
+    "weight-output": ["weight", "STABLE", "--random", "2", "--output", "OUT"],
+}
+
+
+@pytest.mark.parametrize("writer", sorted(OUTPUT_WRITERS))
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, stable_file, writer, capsys):
+    path = tmp_path / "missing" / "out.csv"
+    argv = [{"STABLE": stable_file, "OUT": str(path)}.get(a, a) for a in OUTPUT_WRITERS[writer]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: [Errno 2] No such file or directory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not path.parent.exists()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("reader", sorted(DOCUMENT_READERS))
 def test_deeply_nested_json_exits_2_and_leaves_the_gc_as_it_was(

@@ -17,8 +17,9 @@ descent_iters = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(descent_iters)
 
 
-def side(iterations, verdict="converged", ms=1.0):
-    return {"iterations": iterations, "verdict": verdict, "ms": ms}
+def side(iterations, verdict="converged", ms=1.0, trials=None):
+    trials = iterations + 1 if trials is None else trials  # the start and one trial per step
+    return {"iterations": iterations, "verdict": verdict, "trials": trials, "ms": ms}
 
 
 def row(this, other):
@@ -41,11 +42,26 @@ def test_the_summary_counts_changes_and_gives_each_side_its_sums_and_maxima():
         "theta_max_difference": None,  # no row has theta
         "this_iterations": 25,
         "this_max_iterations": 12,
+        "this_trials": 29,
         "this_ms": 2.8,
         "other_iterations": 23,
         "other_max_iterations": 10,
+        "other_trials": 27,
         "other_ms": 3.325,
     }
+
+
+def test_the_summary_sums_each_sides_trials_apart_from_its_iterations():
+    # Another trial count at the same iterations is a longer line search.
+    rows = [
+        row(side(10, trials=25), side(10, trials=14)),
+        row(side(0, "exit-22", trials=0), side(0, "exit-22", trials=0)),
+        row(side(3, "diverged", trials=4), side(3, "diverged", trials=9)),
+    ]
+    out = descent_iters.summary(rows)
+    assert (out["this_trials"], out["other_trials"]) == (29, 23)
+    assert (out["this_iterations"], out["other_iterations"]) == (13, 13)
+    assert (out["iterations_differ"], out["verdicts_differ"]) == (0, 0)
 
 
 def test_the_summary_gives_the_largest_iteration_change_with_its_sign_and_the_largest_theta_difference():
@@ -103,6 +119,8 @@ def test_main_exits_0_when_no_verdict_differs(monkeypatch, capsys, other):
     report = json.loads(capsys.readouterr().out)
     assert list(report["groups"]) == ["planted/fixed-point", "planted/geodesic-descent", "solve-mix/target"]
     assert report["groups"]["planted/geodesic-descent"]["other_iterations"] == 4
+    assert report["groups"]["planted/geodesic-descent"]["other_trials"] == 5
+    assert report["groups"]["solve-mix/target"]["this_trials"] == 4
     assert [r["input"] for r in report["inputs"]] == [label for _, label, *_ in CASES]
 
 
@@ -193,3 +211,19 @@ def test_the_cases_end_with_the_torus_group():
     group, label, doc, _, target = torus[5]
     assert (group, label) == descent_iters.torus_case(5)[:2]
     assert json.loads(target) == descent_iters.torus_case(5)[3].tolist()
+
+
+def test_the_worker_counts_the_moved_states_of_one_solve(tmp_path, monkeypatch):
+    # Each repeat restarts the count, so a row's trials are those of one solve.
+    from measure_balancer import balance, balancing
+
+    nu = gaussian_integer_measure(rng(4), 2, 5)
+    calls = []
+    moved_state = balancing.moved_state
+    monkeypatch.setattr(balancing, "moved_state", lambda *a: calls.append(1) or moved_state(*a))
+    want = balance(nu, method="geodesic-descent")
+    in_path = tmp_path / "cases.json"
+    in_path.write_text(json.dumps([{"measure": nu.to_json(), "method": "geodesic-descent", "target": None}]))
+    (got,) = descent_iters.run_checkout(descent_iters.ROOT, str(in_path), str(tmp_path))
+    assert (got["iterations"], got["verdict"]) == (want.iterations, want.verdict)
+    assert got["trials"] == len(calls) > want.iterations

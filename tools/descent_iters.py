@@ -36,10 +36,12 @@ Runs ``balance(nu, method=...)`` of each checkout on:
 One subprocess per checkout imports the package from its ``src/``, with
 BLAS on one thread.  Both sides read the same measure documents, drawn by
 this checkout's ``perfbench/inputs.py`` and ``tests/helpers.py``.  Each input
-is run ``REPEATS`` times; its wall time is the minimum.  Prints one JSON
-document: per input and method its iterations, verdict and milliseconds on
-each side, and per group and method the sums, the count and largest of the
-iteration changes and, for the torus group, the largest theta difference.
+is run ``REPEATS`` times; its wall time is the minimum, and its trials
+are the calls of ``balancing.moved_state`` in one run (the start and every
+trial point of the line search).  Prints one JSON document: per input and
+method its iterations, verdict, trials and milliseconds on each side, and
+per group and method the sums, the count and largest of the iteration
+changes and, for the torus group, the largest theta difference.
 Exits 1 if a verdict differs, 0 if none does.
 """
 
@@ -68,9 +70,19 @@ checkout, in_path, out_path = sys.argv[1:4]
 sys.path.insert(0, checkout + "/src")
 # The package caps BLAS threads only if it is imported before numpy.
 from measure_balancer import (
-    AtomicMeasure, InvalidInput, MaxIterations, SingularGram, TargetOutsidePolytope, balance, torus_solve,
+    AtomicMeasure, InvalidInput, MaxIterations, SingularGram, TargetOutsidePolytope, balance, balancing,
+    torus_solve,
 )
 import numpy as np
+
+trials = [0]
+moved_state = balancing.moved_state
+
+def counted_state(*args):
+    trials[0] += 1
+    return moved_state(*args)
+
+balancing.moved_state = counted_state
 
 def torus(nu, beta):
     try:
@@ -107,10 +119,11 @@ for case in cases:
         solve = lambda: balanced(nu, method=method)
     best = float("inf")
     for _ in range(int(sys.argv[4])):
+        trials[0] = 0
         t0 = time.perf_counter()
         out = solve()
         best = min(best, time.perf_counter() - t0)
-    rows.append(dict(out, ms=round(1e3 * best, 3)))
+    rows.append(dict(out, trials=trials[0], ms=round(1e3 * best, 3)))
 with open(out_path, "w", encoding="utf-8") as fh:
     json.dump(rows, fh)
 """
@@ -234,7 +247,7 @@ def summary(rows: list) -> dict:
     count or changing verdict, the largest change of an iteration count (this
     minus other), the largest theta difference (None where no row has theta on
     both sides), and per side the sum and largest of the iterations and the
-    sum of the milliseconds."""
+    sums of the trials and of the milliseconds."""
     changes = [r["this"]["iterations"] - r["other"]["iterations"] for r in rows]
     thetas = [(r["this"].get("theta"), r["other"].get("theta")) for r in rows]
     out = {
@@ -252,6 +265,7 @@ def summary(rows: list) -> dict:
         iterations = [r[side]["iterations"] for r in rows]
         out[f"{side}_iterations"] = sum(iterations)
         out[f"{side}_max_iterations"] = max(iterations)
+        out[f"{side}_trials"] = sum(r[side]["trials"] for r in rows)
         out[f"{side}_ms"] = round(sum(r[side]["ms"] for r in rows), 3)
     return out
 
